@@ -20,7 +20,7 @@
 
 #include <string>
 
-#include "engine/api_internal.h"
+#include "bench_support.h"
 #include "rdf/generator.h"
 #include "util/check.h"
 #include "wdsparql/wdsparql.h"
@@ -42,7 +42,7 @@ struct E16Instance {
     options.seed = 16;
     RdfGraph staged(&pool);
     GenerateRandomGraph(options, &staged);
-    engine_internal::BulkLoad(&db, staged.triples());
+    benchsupport::LoadCompacted(staged, &db);
   }
 };
 

@@ -6,6 +6,7 @@
 #include "rdf/generator.h"
 #include "rdf/graph.h"
 #include "util/check.h"
+#include "wdsparql/database.h"
 
 /// \file
 /// Shared fixtures for the experiment benches (see EXPERIMENTS.md).
@@ -45,6 +46,17 @@ inline void MakeFkHardGraph(TermPool* pool, int k, int copies, RdfGraph* graph) 
       }
     }
   }
+}
+
+/// Loads `graph` into `db` (which must share its pool) as one
+/// `WriteBatch`, then compacts, so every triple sits in the base
+/// permutation runs with cardinality statistics — the layout a snapshot
+/// open produces, whatever the batch size and merge threshold.
+inline void LoadCompacted(const RdfGraph& graph, Database* db) {
+  WriteBatch batch;
+  for (const Triple& t : graph.triples()) batch.Add(*graph.pool(), t);
+  WDSPARQL_CHECK(db->Apply(std::move(batch)).ok());
+  db->Compact();
 }
 
 }  // namespace benchsupport

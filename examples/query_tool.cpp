@@ -332,7 +332,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
       return 1;
     }
-    std::vector<Mapping> answers = Evaluate(*parsed.value(), db.graph());
+    std::vector<Mapping> answers = Evaluate(
+        *parsed.value(), engine_internal::MaterializeGraph(db.GetSnapshot()));
     if (show_stats) {
       std::fprintf(stderr,
                    "note: --stats needs the engine pipeline; the set-semantics "
@@ -431,8 +432,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot verify projected rows; drop --select\n");
       return 1;
     }
+    RdfGraph graph = engine_internal::MaterializeGraph(db.GetSnapshot());
     for (const Mapping& mu : answers) {
-      if (!PebbleWdEval(forest, db.graph(), mu, promise)) {
+      if (!PebbleWdEval(forest, graph, mu, promise)) {
         std::fprintf(stderr,
                      "DISAGREEMENT: pebble algorithm (k=%d) rejects %s — promise "
                      "too small or library bug\n",

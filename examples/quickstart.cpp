@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "engine/api_internal.h"
 #include "ptree/forest.h"
 #include "rdf/graph.h"
 #include "sparql/parser.h"
@@ -54,7 +55,8 @@ int main() {
   // 5. Cross-checks: the engine agrees with the textbook set semantics,
   //    and both wdEVAL membership algorithms accept every answer.
   auto parsed = ParsePattern("(alice knows ?who) OPT (?who email ?mail)", &db.pool());
-  std::vector<Mapping> reference = Evaluate(*parsed.value(), db.graph());
+  RdfGraph graph = engine_internal::MaterializeGraph(db.GetSnapshot());
+  std::vector<Mapping> reference = Evaluate(*parsed.value(), graph);
   std::vector<Mapping> engine_answers = stmt.Solutions();
   bool same = engine_answers == reference;
   std::printf("\nengine matches set semantics: %s\n", same ? "yes" : "NO");
@@ -63,8 +65,8 @@ int main() {
   bool all_agree = true;
   for (const Mapping& mu : engine_answers) {
     bool member = stmt.Contains(mu);  // Engine membership (indexed backend).
-    bool naive = NaiveWdEval(forest.value(), db.graph(), mu);
-    bool pebble = PebbleWdEval(forest.value(), db.graph(), mu, /*k=*/1);
+    bool naive = NaiveWdEval(forest.value(), graph, mu);
+    bool pebble = PebbleWdEval(forest.value(), graph, mu, /*k=*/1);
     if (!member || !naive || !pebble) all_agree = false;
   }
   std::printf("engine/naive/pebble membership agree on all %zu answers: %s\n",

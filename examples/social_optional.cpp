@@ -96,7 +96,8 @@ int main() {
   int phone_no_email = 0;
   TermId phone = pool.InternIri("phone");
   TermId email = pool.InternIri("email");
-  const TripleSet& triples = db.graph().triples();
+  RdfGraph graph = engine_internal::MaterializeGraph(db.GetSnapshot());
+  const TripleSet& triples = graph.triples();
   for (int i = 0; i < options.num_people; ++i) {
     TermId person = pool.InternIri("person" + std::to_string(i));
     bool has_p = false, has_e = false;

@@ -34,9 +34,10 @@
 ///  * Snapshots are immutable and freely copyable; copies share the pin.
 ///  * Both backends serve snapshot-bound executions. The indexed
 ///    backend reads the pinned view in place; the naive oracle
-///    materialises a private copy of the pinned content per cursor —
-///    O(dataset) at Open, intended for differential testing against
-///    the indexed engine under a live writer.
+///    materialises a private copy of the pinned content per cursor, as
+///    it does for every execution — O(dataset) at Open, intended for
+///    differential testing against the indexed engine under a live
+///    writer.
 
 namespace wdsparql {
 
@@ -69,6 +70,7 @@ class Snapshot {
  private:
   friend class Database;   // Constructs snapshots in GetSnapshot().
   friend class Statement;  // Binds the pinned view into cursors.
+  friend struct DatabaseImpl;  // In-tree materialisation of the view.
 
   Snapshot(const DatabaseImpl* db, std::shared_ptr<const ReadView> view)
       : db_(db), view_(std::move(view)) {}

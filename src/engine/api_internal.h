@@ -1,7 +1,6 @@
 #ifndef WDSPARQL_ENGINE_API_INTERNAL_H_
 #define WDSPARQL_ENGINE_API_INTERNAL_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include "engine/read_view.h"
 #include "ptree/forest.h"
 #include "rdf/graph.h"
-#include "rdf/scan.h"
 #include "sparql/ast.h"
 #include "sparql/filter.h"
 #include "storage/wal.h"
@@ -30,8 +28,8 @@
 /// \file
 /// Shared implementation state behind the public Database/Session/Cursor
 /// pimpl surface. In-tree only: the public headers forward-declare these
-/// types; database.cc, session.cc, cursor.cc and the deprecated
-/// QueryEngine facade include this header to cross the pimpl boundary.
+/// types; database.cc, session.cc and cursor.cc include this header to
+/// cross the pimpl boundary.
 ///
 /// Threading model (see docs/CONCURRENCY.md for the full contract): one
 /// writer thread mutates; any number of reader threads pin `ReadView`s
@@ -45,8 +43,6 @@ struct DatabaseImpl {
   DatabaseImpl(TermPool* external_pool, const DatabaseOptions& opts)
       : owned_pool(external_pool == nullptr ? std::make_unique<TermPool>() : nullptr),
         pool(external_pool != nullptr ? external_pool : owned_pool.get()),
-        graph(pool),
-        hash_source(graph.triples()),
         options(opts) {
     store.set_merge_threshold(options.merge_threshold);
     store.set_metrics(metrics);
@@ -59,27 +55,10 @@ struct DatabaseImpl {
   /// (DatabaseImpl is the one friend of Database).
   static DatabaseImpl& Get(const Database& db) { return *db.impl_; }
 
-  /// Hydrates the hash-backend row store from the permutation store. A
-  /// snapshot-opened database borrows its index runs straight out of the
-  /// mapping and defers this O(dataset) hash build until something
-  /// actually needs the naive backend (its scans, the pebble promise
-  /// machinery, or the `Database::graph()` accessor). Double-checked
-  /// under a mutex so racing readers hydrate exactly once: the winning
-  /// thread fully builds the graph before the release store, and every
-  /// later reader observes it through the acquire load — even on the
-  /// single-threaded path this costs one relaxed atomic load when
-  /// already hydrated.
-  void EnsureGraph() const {
-    if (graph_hydrated.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(hydrate_mutex);
-    if (graph_hydrated.load(std::memory_order_relaxed)) return;
-    graph.Reserve(store.size());
-    store.ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [this](const Triple& t) {
-      graph.Insert(t);
-      return true;
-    });
-    graph_hydrated.store(true, std::memory_order_release);
-  }
+  /// Crosses the `Snapshot` boundary the same way (DatabaseImpl is its
+  /// friend too): the owning database and the pinned view.
+  static const DatabaseImpl& Of(const Snapshot& s) { return *s.db_; }
+  static const ReadView& ViewOf(const Snapshot& s) { return *s.view_; }
 
   /// The sticky storage status, thread-safe (readers may poll health
   /// while the writer latches a WAL failure).
@@ -111,9 +90,7 @@ struct DatabaseImpl {
   /// `DatabaseOptions::trace_capacity == 0`. Lock-free, written by
   /// request-local `TraceContext` flushes from any thread.
   std::unique_ptr<TraceRecorder> trace;
-  mutable RdfGraph graph;        // Hash-indexed row store (naive backend).
-  HashTripleSource hash_source;  // TripleSource view over `graph`.
-  IndexedStore store;            // Permutation-indexed store (indexed backend).
+  IndexedStore store;  // The one copy of the data (both backends read it).
   DatabaseOptions options;
 
   // The public view generation lives inside the store's published
@@ -122,8 +99,6 @@ struct DatabaseImpl {
 
   // Persistence state (Database::Open / Save / Checkpoint). Writer side,
   // except the sticky status which is mutex-guarded for readers.
-  mutable std::atomic<bool> graph_hydrated{true};  // False until EnsureGraph after Open.
-  mutable std::mutex hydrate_mutex;    // Serialises the one-time hydration.
   std::string snapshot_path;           // Checkpoint target; empty if not opened.
   std::unique_ptr<storage::WriteAheadLog> wal;  // Null without kWal.
   mutable std::mutex storage_mutex;    // Guards storage_error.
@@ -174,19 +149,11 @@ struct CursorImpl {
   std::unordered_set<Mapping, MappingHash> emitted;
   Mapping row;
 
-  /// Snapshot-bound naive execution: the pinned view's content,
-  /// materialised into a cursor-owned copy at Open (the COW half of the
-  /// view is what makes the copy consistent with zero writer
-  /// synchronisation), plus the hash scan index over it. Null on every
-  /// other path.
-  std::unique_ptr<TripleSet> snapshot_copy;
-  std::unique_ptr<HashTripleSource> snapshot_source;
-
-  /// The store snapshot this cursor reads (indexed backend). Pinned at
-  /// `Open` — or copied from a user-held `Snapshot` at `Execute` when
-  /// `snapshot_bound` — and released at `Close`/destruction; mutations
-  /// never invalidate it. Null for naive-backend cursors, which read the
-  /// live hash graph and fall back to generation-based invalidation.
+  /// The store snapshot this cursor reads. Pinned at `Open` — or copied
+  /// from a user-held `Snapshot` at `Execute` when `snapshot_bound` — and
+  /// released at `Close`/destruction; mutations never invalidate it.
+  /// Naive-backend cursors copy the view's content into their hooks at
+  /// `Open` and drop the pin right away.
   std::shared_ptr<const ReadView> view;
   /// True when `view` came from a user-held `Snapshot`: `Open` must use
   /// it as-is instead of pinning the freshest published view.
@@ -194,8 +161,8 @@ struct CursorImpl {
   /// Per-execution bounds (row limit, deadline, cancellation token),
   /// bound at `Execute` time. Default state bounds nothing.
   ExecOptions exec;
-  /// The pinned view's generation (both backends; for naive cursors the
-  /// view itself is dropped and only this stays).
+  /// The pinned view's generation (outlives the pin on the naive
+  /// backend, which drops the view once copied).
   uint64_t open_generation = 0;
   uint64_t rows = 0;
 
@@ -222,48 +189,49 @@ struct CursorImpl {
 
 namespace engine_internal {
 
-/// Bulk-loads `triples` into an *empty* database via the sort-based
-/// build path (dictionary + one sort per permutation), bypassing the
-/// per-triple delta. Used by the QueryEngine compatibility facade.
-/// Writer side: must not race concurrent readers (the store object
-/// itself is replaced).
-void BulkLoad(Database* db, const TripleSet& triples);
+/// Copies the content of a pinned view into a private hash row store
+/// interning through `pool`. The view is immutable, so the copy is
+/// consistent with zero writer synchronisation; it costs O(|view|) time
+/// and memory per call. This is the one way to get an `RdfGraph` of a
+/// database: every naive-backend execution reads such a copy, and the
+/// in-tree tools, tests and benches that need an `RdfGraph` (set
+/// semantics, pebble checks) take one through the `Snapshot` overload.
+RdfGraph MaterializeGraph(const ReadView& view, TermPool* pool);
 
-/// The database's hash-backed TripleSource (naive backend scans).
-const HashTripleSource& HashSourceOf(const Database& db);
+/// As above, over a user-held snapshot (which must be valid), interning
+/// through its database's pool.
+RdfGraph MaterializeGraph(const Snapshot& snapshot);
 
-/// Enumeration hooks for the session's backend over `db`'s storage.
-/// Bound to the move-stable impl, not the movable `Database` shell.
-/// On the indexed backend the hooks close over `view` (pinned by the
-/// caller — this is the cursor's pin-at-open step); the naive backend
-/// reads the live hash graph and `view` may be null. A non-null
-/// `join_stats` (indexed backend only) receives the join layer's scan
-/// and dictionary counters; it must outlive the hooks. A non-null
-/// `root_claim` (indexed backend only) is installed into every
-/// candidate generator the hooks open — the parallel workers' space-
-/// partitioning filter (see JoinCursor::SetRootClaim). `optimize`
-/// (indexed backend only) enables the cost-based variable-order planner
-/// for each opened generator when the view carries cardinality
-/// statistics; false preserves the historic heuristic order exactly.
-EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
-                                      const SessionOptions& options,
-                                      std::shared_ptr<const ReadView> view,
-                                      JoinStats* join_stats = nullptr,
-                                      std::function<bool()> root_claim = nullptr,
-                                      bool optimize = true);
+/// Indexed-backend enumeration hooks over `view` (pinned by the caller
+/// — this is the cursor's pin-at-open step; the hooks share ownership).
+/// Bound to the move-stable impl, not the movable `Database` shell. A
+/// non-null `join_stats` receives the join layer's scan and dictionary
+/// counters; it must outlive the hooks. A non-null `root_claim` is
+/// installed into every candidate generator the hooks open — the
+/// parallel workers' space-partitioning filter (see
+/// JoinCursor::SetRootClaim). `optimize` enables the cost-based
+/// variable-order planner for each opened generator when the view
+/// carries cardinality statistics; false preserves the historic
+/// heuristic order exactly.
+EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
+                                  std::shared_ptr<const ReadView> view,
+                                  JoinStats* join_stats = nullptr,
+                                  std::function<bool()> root_claim = nullptr,
+                                  bool optimize = true);
 
-/// Naive-backend hooks over an explicit materialised triple source (the
-/// snapshot-bound oracle path): candidate generation and maximality run
-/// against `source` — not the live hash graph — so the execution reads
-/// exactly the pinned state however the writer churns. `source` must
-/// outlive the hooks; `pebble_promise > 0` switches the maximality
+/// Naive-backend hooks over a materialised copy of a pinned state (see
+/// `MaterializeGraph`): candidate generation and maximality run against
+/// `graph` only, so the execution reads exactly the pinned state however
+/// the writer churns. The hooks share ownership of the copy, which dies
+/// with the enumerator. `pebble_promise > 0` switches the maximality
 /// certificate to the (k+1)-pebble game, mirroring SessionOptions.
-EnumerationHooks MakeNaiveSnapshotHooks(const HashTripleSource& source,
+EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
                                         int pebble_promise);
 
 /// wdEVAL membership on the session's backend (no filter application).
-/// Pins its own view for the duration of the call on the indexed
-/// backend, so it is reader-thread safe against a live writer.
+/// Pins its own view for the duration of the call (the naive backend
+/// tests against a copy of it), so it is reader-thread safe against a
+/// live writer.
 bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
                         const PatternForest& forest, const Mapping& mu,
                         EvalStats* stats = nullptr);

@@ -122,31 +122,23 @@ bool Cursor::Open() {
   switch (impl_->state) {
     case State::kOpen: return true;
     case State::kUnopened: break;
-    default: return false;  // Closed/exhausted/invalidated/failed stay put.
+    default: return false;  // Closed/exhausted/limited/failed stay put.
   }
   const StatementImpl& stmt = *impl_->stmt;
   // Pin-at-open: take shared ownership of the freshest published
   // ReadView — unless a user-held Snapshot already bound one at Execute
   // time, in which case the cursor reads exactly that state however old
-  // it is. Indexed cursors read their view exclusively from here on
-  // (the writer may mutate, merge and checkpoint freely — this cursor's
-  // world no longer changes until it releases the view at Close or
-  // destruction); naive cursors record only the current generation, to
-  // detect mutation underneath the unversioned hash graph.
-  if (impl_->snapshot_bound) {
-    impl_->open_generation = impl_->view->generation();
-  } else {
-    std::shared_ptr<const ReadView> pinned = stmt.db->store.PinView();
-    impl_->open_generation = pinned->generation();
-    if (stmt.options.backend == Backend::kIndexed) {
-      impl_->view = std::move(pinned);
-    }
-  }
+  // it is. From here on the cursor reads only that view (the writer may
+  // mutate, merge and checkpoint freely — this cursor's world no longer
+  // changes until it releases the view at Close or destruction).
+  if (!impl_->snapshot_bound) impl_->view = stmt.db->store.PinView();
+  impl_->open_generation = impl_->view->generation();
   if (impl_->exec.trace != nullptr && impl_->exec.trace->enabled()) {
     // One span covering the whole enumeration (ended with rows/outcome
     // annotations at finish), with per-wdpf-subtree child spans emitted
-    // by the enumerator at subtree boundaries — never per row. In the
-    // parallel mode the children are per-worker spans instead.
+    // by the enumerator at subtree boundaries — never per row. The
+    // parallel mode emits the same subtree spans (merged across workers)
+    // plus one span per worker.
     impl_->enumerate_span =
         impl_->exec.trace->StartSpan("enumerate", impl_->exec.trace_parent);
   }
@@ -177,13 +169,12 @@ bool Cursor::Open() {
     popts.workers = impl_->exec.parallelism;
     popts.check_interval = impl_->exec.check_interval;
     const DatabaseImpl* db = stmt.db;
-    SessionOptions sopts = stmt.options;
     std::shared_ptr<const ReadView> view = impl_->view;
     const bool optimize = impl_->exec.optimize;
-    popts.hooks_factory = [db, sopts, view, optimize](
+    popts.hooks_factory = [db, view, optimize](
                               JoinStats* stats, std::function<bool()> claim) {
-      return engine_internal::MakeEnumerationHooks(*db, sopts, view, stats,
-                                                   std::move(claim), optimize);
+      return engine_internal::MakeIndexedHooks(*db, view, stats,
+                                               std::move(claim), optimize);
     };
     impl_->parallel =
         std::make_unique<ParallelEnumerator>(stmt.forest, std::move(popts));
@@ -200,27 +191,19 @@ bool Cursor::Open() {
     }
   } else {
     EnumerationHooks hooks;
-    if (impl_->snapshot_bound && stmt.options.backend == Backend::kNaiveHash) {
-      // Snapshot-bound naive oracle: materialise the pinned view's
-      // content into a cursor-owned copy and run the naive machinery
-      // against it. The view is immutable, so the scan is a consistent
-      // copy with zero writer synchronisation; from here on the cursor
-      // never touches live state, making the oracle safe to run while a
-      // writer churns — exactly what the differential harness needs.
-      impl_->snapshot_copy = std::make_unique<TripleSet>();
-      TripleSet* copy = impl_->snapshot_copy.get();
-      impl_->view->ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm),
-                               [copy](const Triple& t) {
-                                 copy->Insert(t);
-                                 return true;
-                               });
-      impl_->snapshot_source =
-          std::make_unique<HashTripleSource>(*impl_->snapshot_copy);
+    if (stmt.options.backend == Backend::kNaiveHash) {
+      // The naive oracle runs over a private copy of the pinned view: the
+      // view is immutable, so the copy is consistent with zero writer
+      // synchronisation, and once it is taken the pin is dropped — from
+      // here on the cursor never touches database state at all.
       hooks = engine_internal::MakeNaiveSnapshotHooks(
-          *impl_->snapshot_source, stmt.options.pebble_promise);
+          std::make_shared<const RdfGraph>(
+              engine_internal::MaterializeGraph(*impl_->view, stmt.db->pool)),
+          stmt.options.pebble_promise);
+      impl_->view.reset();
     } else {
-      hooks = engine_internal::MakeEnumerationHooks(
-          *stmt.db, stmt.options, impl_->view,
+      hooks = engine_internal::MakeIndexedHooks(
+          *stmt.db, impl_->view,
           impl_->stats != nullptr ? &impl_->join_stats : nullptr,
           /*root_claim=*/nullptr, impl_->exec.optimize);
     }
@@ -261,20 +244,6 @@ bool NextRow(CursorImpl* impl) {
     return false;
   }
   const StatementImpl& stmt = *impl->stmt;
-  if (impl->view == nullptr &&
-      stmt.db->store.PinView()->generation() != impl->open_generation) {
-    // Naive-backend cursors read the live hash graph in place, so a
-    // mutation underneath them is unrecoverable: fail fast and loudly.
-    // (Indexed cursors hold a pinned view and never take this path.)
-    impl->state = Cursor::State::kInvalidated;
-    impl->diagnostics.code = QueryDiagnostics::Code::kInvalidated;
-    impl->diagnostics.message =
-        "cursor invalidated: the database mutated during enumeration "
-        "(bind a Snapshot at Execute to read pinned state instead)";
-    AbsorbEnumeratorTotals(impl);
-    ReleaseEnumerators(impl);
-    return false;
-  }
   // Pull from whichever enumeration engine this cursor runs (exactly one
   // is live while open).
   ParallelEnumerator* parallel = impl->parallel.get();
@@ -388,7 +357,6 @@ const char* CursorStateToString(Cursor::State state) {
     case Cursor::State::kOpen: return "open";
     case Cursor::State::kExhausted: return "exhausted";
     case Cursor::State::kClosed: return "closed";
-    case Cursor::State::kInvalidated: return "invalidated";
     case Cursor::State::kLimited: return "limited";
     case Cursor::State::kCancelled: return "cancelled";
     case Cursor::State::kFailed: return "failed";

@@ -54,8 +54,8 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
   std::vector<Triple> adds;
   std::vector<Triple> removes;
   for (const Triple& t : touched) {
-    // The store mirrors the hash graph exactly and is maintained on
-    // every path (hydrated or not), so it is the one presence oracle.
+    // The store is the one copy of the data, so it is the one presence
+    // oracle.
     bool present = impl->store.Contains(t);
     if (desired[t] && !present) {
       adds.push_back(t);
@@ -99,10 +99,6 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
                          const std::vector<Triple>& chunk_adds,
                          const std::vector<Triple>& chunk_removes) {
     impl->store.ApplyBatch(chunk_adds, chunk_removes, trace, commit_span);
-    if (impl->graph_hydrated) {
-      for (const Triple& t : chunk_adds) impl->graph.Insert(t);
-      for (const Triple& t : chunk_removes) impl->graph.Remove(t);
-    }
     if (result != nullptr) {
       result->added += chunk_adds.size();
       result->removed += chunk_removes.size();
@@ -336,8 +332,7 @@ void Database::Compact() { impl_->store.MergeDelta(); }
 std::size_t Database::size() const { return impl_->store.PinView()->size(); }
 
 bool Database::Contains(const Triple& t) const {
-  // The permutation store mirrors the hash graph exactly, and its
-  // pinned view is safe against a concurrent writer.
+  // The pinned view is safe against a concurrent writer.
   return impl_->store.PinView()->Contains(t);
 }
 
@@ -369,11 +364,6 @@ bool Snapshot::Contains(const Triple& t) const {
   return view_ != nullptr && view_->Contains(t);
 }
 
-const RdfGraph& Database::graph() const {
-  impl_->EnsureGraph();
-  return impl_->graph;
-}
-
 Status Database::storage_status() const { return impl_->sticky_storage_status(); }
 
 MetricsRegistry& Database::metrics() const { return *impl_->metrics; }
@@ -401,22 +391,20 @@ const char* BackendToString(Backend backend) {
 
 namespace engine_internal {
 
-void BulkLoad(Database* db, const TripleSet& triples) {
-  DatabaseImpl* impl = &DatabaseImpl::Get(*db);
-  WDSPARQL_CHECK(impl->graph.empty() && impl->store.size() == 0);
-  impl->graph.Reserve(triples.size());
-  for (const Triple& t : triples.triples()) impl->graph.Insert(t);
-  // AdoptFrom, not assignment: replacing the store object outright
-  // would swap the view slot non-atomically under concurrent readers
-  // (size()/Contains()/cursor opens are documented safe during any
-  // mutation, bulk loads included).
-  impl->store.AdoptFrom(IndexedStore::Build(impl->graph.triples()));
-  impl->graph_hydrated = true;  // Both stores now hold the full content.
+RdfGraph MaterializeGraph(const ReadView& view, TermPool* pool) {
+  RdfGraph graph(pool);
+  graph.Reserve(view.size());
+  view.ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&graph](const Triple& t) {
+    graph.Insert(t);
+    return true;
+  });
+  return graph;
 }
 
-const HashTripleSource& HashSourceOf(const Database& db) {
-  DatabaseImpl::Get(db).EnsureGraph();
-  return DatabaseImpl::Get(db).hash_source;
+RdfGraph MaterializeGraph(const Snapshot& snapshot) {
+  WDSPARQL_CHECK(snapshot.valid());
+  return MaterializeGraph(DatabaseImpl::ViewOf(snapshot),
+                          DatabaseImpl::Of(snapshot).pool);
 }
 
 namespace {
@@ -482,82 +470,56 @@ class JoinCursorGenerator final : public CandidateGenerator {
 
 }  // namespace
 
-EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
-                                      const SessionOptions& options,
-                                      std::shared_ptr<const ReadView> view,
-                                      JoinStats* join_stats,
-                                      std::function<bool()> root_claim,
-                                      bool optimize) {
+EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
+                                  std::shared_ptr<const ReadView> view,
+                                  JoinStats* join_stats,
+                                  std::function<bool()> root_claim,
+                                  bool optimize) {
+  // The hooks share ownership of the pinned view: the enumeration stays
+  // valid however long the cursor lives and whatever the writer does
+  // meanwhile. `join_stats` (when collecting) is cursor-local and
+  // outlives the hooks by contract, so the lambdas capture it raw.
+  // Optimizer plumbing, resolved once per hooks build (instrument
+  // addresses are registry-stable; the lookup mutex is fine off the
+  // per-row hot path). The pool pointer renders plan descriptions.
+  const TermPool* pool = db.pool;
+  Counter* plans_metric = &db.metrics->counter("optimizer.plans");
+  Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
   EnumerationHooks hooks;
-  if (options.backend == Backend::kIndexed) {
-    // The hooks share ownership of the pinned view: the enumeration
-    // stays valid however long the cursor lives and whatever the writer
-    // does meanwhile. `join_stats` (when collecting) is cursor-local and
-    // outlives the hooks by contract, so the lambdas capture it raw.
-    if (view == nullptr) view = db.store.PinView();
-    // Optimizer plumbing, resolved once per hooks build (instrument
-    // addresses are registry-stable; the lookup mutex is fine off the
-    // per-row hot path). The pool pointer renders plan descriptions.
-    const TermPool* pool = db.pool;
-    Counter* plans_metric = &db.metrics->counter("optimizer.plans");
-    Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
-    hooks.open_candidates =
-        [view, join_stats, claim = std::move(root_claim), optimize, pool,
-         plans_metric, plan_ns_metric](
-            const TripleSet& pattern) -> std::unique_ptr<CandidateGenerator> {
-      return std::make_unique<JoinCursorGenerator>(view, pattern.triples(),
-                                                   join_stats, claim, optimize,
-                                                   pool, plans_metric,
-                                                   plan_ns_metric);
-    };
-    hooks.candidates = [view, join_stats](
-                           const TripleSet& pattern,
-                           const std::function<bool(const VarAssignment&)>& emit) {
-      JoinEnumerate(*view, pattern.triples(), VarAssignment{}, emit, join_stats);
-    };
-    hooks.extends = [view, join_stats](const TripleSet& combined, const Mapping& mu) {
-      return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
-                        join_stats);
-    };
-    return hooks;
-  }
-  db.EnsureGraph();  // The naive backend scans the hash row store.
-  const HashTripleSource* source = &db.hash_source;
-  hooks.candidates = [source](const TripleSet& pattern,
-                              const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, *source, emit);
+  hooks.open_candidates =
+      [view, join_stats, claim = std::move(root_claim), optimize, pool,
+       plans_metric, plan_ns_metric](
+          const TripleSet& pattern) -> std::unique_ptr<CandidateGenerator> {
+    return std::make_unique<JoinCursorGenerator>(view, pattern.triples(),
+                                                 join_stats, claim, optimize,
+                                                 pool, plans_metric,
+                                                 plan_ns_metric);
   };
-  if (options.pebble_promise > 0) {
-    const RdfGraph* graph = &db.graph;
-    int k = options.pebble_promise;
-    hooks.extends = [graph, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), graph->triples(), k + 1);
-    };
-  } else {
-    hooks.extends = [source](const TripleSet& combined, const Mapping& mu) {
-      return HasHomomorphism(combined, MappingToAssignment(mu), *source);
-    };
-  }
+  hooks.extends = [view, join_stats](const TripleSet& combined, const Mapping& mu) {
+    return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
+                      join_stats);
+  };
   return hooks;
 }
 
-EnumerationHooks MakeNaiveSnapshotHooks(const HashTripleSource& source,
+EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
                                         int pebble_promise) {
   EnumerationHooks hooks;
-  const HashTripleSource* src = &source;
-  hooks.candidates = [src](const TripleSet& pattern,
-                           const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, *src, emit);
+  hooks.candidates = [graph](const TripleSet& pattern,
+                             const std::function<bool(const VarAssignment&)>& emit) {
+    EnumerateHomomorphisms(pattern, VarAssignment{}, HashTripleSource(graph->triples()),
+                           emit);
   };
   if (pebble_promise > 0) {
     int k = pebble_promise;
-    hooks.extends = [src, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), src->triple_set(),
+    hooks.extends = [graph, k](const TripleSet& combined, const Mapping& mu) {
+      return PebbleGameWins(combined, MappingToAssignment(mu), graph->triples(),
                             k + 1);
     };
   } else {
-    hooks.extends = [src](const TripleSet& combined, const Mapping& mu) {
-      return HasHomomorphism(combined, MappingToAssignment(mu), *src);
+    hooks.extends = [graph](const TripleSet& combined, const Mapping& mu) {
+      return HasHomomorphism(combined, MappingToAssignment(mu),
+                             HashTripleSource(graph->triples()));
     };
   }
   return hooks;
@@ -574,21 +536,18 @@ bool EvaluateMembershipOnView(const PatternForest& forest, const Mapping& mu,
 bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
                         const PatternForest& forest, const Mapping& mu,
                         EvalStats* stats) {
-  switch (options.backend) {
-    case Backend::kIndexed: {
-      // Pin once for the whole membership test: candidate scans and the
-      // maximality certificates all read the same consistent snapshot.
-      std::shared_ptr<const ReadView> view = db.store.PinView();
-      return EvaluateMembershipOnView(forest, mu, *view, stats);
-    }
-    case Backend::kNaiveHash:
-      db.EnsureGraph();  // Both naive eval paths read the hash row store.
-      if (options.pebble_promise > 0) {
-        return PebbleWdEval(forest, db.graph, mu, options.pebble_promise, stats);
-      }
-      return NaiveWdEval(forest, db.hash_source, mu, stats);
+  // Pin once for the whole membership test: candidate scans and the
+  // maximality certificates all read the same consistent snapshot.
+  std::shared_ptr<const ReadView> view = db.store.PinView();
+  if (options.backend == Backend::kIndexed) {
+    return EvaluateMembershipOnView(forest, mu, *view, stats);
   }
-  return false;
+  RdfGraph graph = MaterializeGraph(*view, db.pool);
+  view.reset();  // The copy is private; release the pin before the test.
+  if (options.pebble_promise > 0) {
+    return PebbleWdEval(forest, graph, mu, options.pebble_promise, stats);
+  }
+  return NaiveWdEval(forest, graph, mu, stats);
 }
 
 }  // namespace engine_internal

@@ -9,7 +9,6 @@ const char* DiagnosticsCodeToString(QueryDiagnostics::Code code) {
     case QueryDiagnostics::Code::kNotWellDesigned: return "NotWellDesigned";
     case QueryDiagnostics::Code::kUnsupported: return "Unsupported";
     case QueryDiagnostics::Code::kInvalidProjection: return "InvalidProjection";
-    case QueryDiagnostics::Code::kInvalidated: return "Invalidated";
     case QueryDiagnostics::Code::kCancelled: return "Cancelled";
     case QueryDiagnostics::Code::kDeadlineExceeded: return "DeadlineExceeded";
     case QueryDiagnostics::Code::kUnimplemented: return "Unimplemented";

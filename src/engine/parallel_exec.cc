@@ -1,6 +1,8 @@
 #include "engine/parallel_exec.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "util/check.h"
 
@@ -74,6 +76,7 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
     if (worker.exec_stats != nullptr) {
       enumerator.SetStatsSink(worker.exec_stats.get(), sink_pool_);
     }
+    if (trace_ != nullptr) enumerator.SetSubtreeTimingSink(&worker.subtree_timings);
     enumerator.SetInterruptProbe(
         [this] {
           // Stop-flag first: shutdown and sibling-worker interruptions
@@ -270,6 +273,38 @@ void ParallelEnumerator::MergeWorkerStats() {
       trace_->Annotate(span, "worker", static_cast<uint64_t>(i));
       trace_->Annotate(span, "candidates", worker.enum_stats.candidates);
       trace_->Annotate(span, "emitted", worker.enum_stats.emitted);
+    }
+    // Subtree spans, as the serial enumerator emits them: every worker
+    // visits every subtree, so the per-worker timings merge into one
+    // span per (tree, subtree), from its first open to its last close,
+    // with the candidates summed.
+    std::map<std::pair<std::size_t, std::size_t>, SubtreeTiming> subtrees;
+    for (const auto& worker : workers_) {
+      for (const SubtreeTiming& timing : worker->subtree_timings) {
+        auto [it, inserted] =
+            subtrees.emplace(std::make_pair(timing.tree, timing.subtree), timing);
+        if (inserted) continue;
+        SubtreeTiming& into = it->second;
+        const auto end = std::max(
+            into.start + std::chrono::nanoseconds(into.duration_ns),
+            timing.start + std::chrono::nanoseconds(timing.duration_ns));
+        into.start = std::min(into.start, timing.start);
+        into.duration_ns = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(end - into.start)
+                .count());
+        into.candidates += timing.candidates;
+      }
+    }
+    for (const auto& [key, timing] : subtrees) {
+      const uint64_t offset_ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(timing.start -
+                                                               launch_tp_)
+              .count());
+      uint32_t span = trace_->AddCompleteSpan(
+          "subtree", trace_parent_, launch_trace_ns_ + offset_ns, timing.duration_ns);
+      trace_->Annotate(span, "tree", static_cast<uint64_t>(timing.tree));
+      trace_->Annotate(span, "subtree", static_cast<uint64_t>(timing.subtree));
+      trace_->Annotate(span, "candidates", timing.candidates);
     }
   }
 }

@@ -40,9 +40,11 @@
 ///
 /// Observability keeps the cursor-local discipline: every worker counts
 /// into its own plain structs, merged exactly once at shutdown into the
-/// consumer's sinks; per-worker trace spans are recorded as plain timing
-/// pairs by the workers and emitted from the consumer thread (the
-/// TraceContext stays single-threaded).
+/// consumer's sinks; per-worker and per-subtree trace timings are
+/// recorded as plain values by the workers and emitted from the consumer
+/// thread (the TraceContext stays single-threaded), so a parallel trace
+/// carries the serial trace's `subtree` spans plus one `worker` span per
+/// worker.
 ///
 /// Cancellation ordering: a fired user probe (deadline/cancel token)
 /// latches `interrupted` and raises the shared stop flag; every worker
@@ -114,9 +116,10 @@ class ParallelEnumerator {
     join_sink_ = join_sink;
   }
 
-  /// Trace sink: one "worker" span per worker under `parent`, recorded
-  /// by the workers as plain timings and emitted from the consumer
-  /// thread at shutdown. Install before the first `Next`.
+  /// Trace sink: one "worker" span per worker and one "subtree" span per
+  /// wdpf subtree (merged across workers) under `parent`, recorded by the
+  /// workers as plain timings and emitted from the consumer thread at
+  /// shutdown. Install before the first `Next`.
   void SetTraceSink(TraceContext* trace, uint32_t parent) {
     trace_ = trace;
     trace_parent_ = parent;
@@ -140,6 +143,7 @@ class ParallelEnumerator {
     std::unique_ptr<ExecStats> exec_stats;  // Only when a sink is set.
     uint64_t start_offset_ns = 0;  // From worker launch, steady clock.
     uint64_t duration_ns = 0;
+    std::vector<SubtreeTiming> subtree_timings;  // Only when tracing.
     std::thread thread;
   };
 

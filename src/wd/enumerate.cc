@@ -55,6 +55,23 @@ SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
 
 SolutionEnumerator::~SolutionEnumerator() { EndSubtreeSpan(); }
 
+void SolutionEnumerator::EndSubtreeSpan() {
+  if (subtree_span_ != 0) {
+    trace_->Annotate(subtree_span_, "candidates", cur_candidates_);
+    trace_->EndSpan(subtree_span_);
+    subtree_span_ = 0;
+  }
+  if (timing_open_) {
+    SubtreeTiming& timing = timings_->back();
+    timing.duration_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - timing.start)
+            .count());
+    timing.candidates = cur_candidates_;
+    timing_open_ = false;
+  }
+}
+
 ExecStats::Subpattern* SolutionEnumerator::CurSubpattern() {
   return sink_has_cur_ ? &sink_->subpatterns.back() : nullptr;
 }
@@ -97,13 +114,18 @@ bool SolutionEnumerator::AdvanceSubtree() {
     // the maximality work until the next boundary — this is the subtree-
     // granular "where did the time go" answer; per-candidate cost stays
     // out of the trace entirely.
+    EndSubtreeSpan();
     if (trace_ != nullptr) {
-      EndSubtreeSpan();
       subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
       trace_->Annotate(subtree_span_, "tree",
                        static_cast<uint64_t>(tree_idx_));
       trace_->Annotate(subtree_span_, "subtree",
                        static_cast<uint64_t>(subtree_idx_ - 1));
+    }
+    if (timings_ != nullptr) {
+      timings_->push_back(SubtreeTiming{tree_idx_, subtree_idx_ - 1,
+                                        std::chrono::steady_clock::now(), 0, 0});
+      timing_open_ = true;
     }
     if (hooks_.open_candidates) {
       // Suspendable path: the generator carries the whole join state;

@@ -1,6 +1,7 @@
 #ifndef WDSPARQL_WD_ENUMERATE_H_
 #define WDSPARQL_WD_ENUMERATE_H_
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <unordered_set>
@@ -58,6 +59,17 @@ struct CandidatePlanInfo {
   double est_cost = 0;       ///< Estimated scan volume of the descent.
   uint64_t plan_ns = 0;      ///< Time spent planning this subtree.
   std::string description;   ///< e.g. "order=[?y ?x] scans=[POS SPO]".
+};
+
+/// One subtree's trace timing as plain values — what a `subtree` span
+/// records. Enumerators running off the trace's thread (the parallel
+/// workers) keep these for the consumer thread to emit as spans.
+struct SubtreeTiming {
+  std::size_t tree = 0;
+  std::size_t subtree = 0;
+  std::chrono::steady_clock::time_point start;
+  uint64_t duration_ns = 0;
+  uint64_t candidates = 0;  ///< Candidates pulled from the subtree.
 };
 
 /// A suspendable candidate source: one subtree pattern's homomorphisms,
@@ -182,6 +194,12 @@ class SolutionEnumerator {
     trace_parent_ = parent;
   }
 
+  /// Plain-value counterpart of `SetTraceSink` for an enumerator that
+  /// runs off the trace's thread: appends one `SubtreeTiming` per
+  /// subtree it opens to `sink` (caller-owned, read once the enumerator
+  /// is gone). Install before the first `Next`.
+  void SetSubtreeTimingSink(std::vector<SubtreeTiming>* sink) { timings_ = sink; }
+
  private:
   /// Opens the next subtree (pattern, children, candidate generator,
   /// trace span). Returns false when every tree is exhausted or the
@@ -197,17 +215,11 @@ class SolutionEnumerator {
   /// while `sink_` is set and the current subtree produced candidates).
   ExecStats::Subpattern* CurSubpattern();
 
-  /// Ends the open subtree's trace span, if any (subtree boundary,
-  /// exhaustion, interruption, destruction — whichever comes first),
-  /// annotating it with the candidates pulled so far — a lazy generator
+  /// Ends the open subtree's trace span and timing, if any (subtree
+  /// boundary, exhaustion, interruption, destruction — whichever comes
+  /// first), recording the candidates pulled so far — a lazy generator
   /// only knows its candidate count at the boundary, not up front.
-  void EndSubtreeSpan() {
-    if (subtree_span_ != 0) {
-      trace_->Annotate(subtree_span_, "candidates", cur_candidates_);
-      trace_->EndSpan(subtree_span_);
-      subtree_span_ = 0;
-    }
-  }
+  void EndSubtreeSpan();
 
   const PatternForest* forest_;
   EnumerationHooks hooks_;
@@ -224,6 +236,8 @@ class SolutionEnumerator {
   TraceContext* trace_ = nullptr;
   uint32_t trace_parent_ = 0;
   uint32_t subtree_span_ = 0;
+  std::vector<SubtreeTiming>* timings_ = nullptr;  // See SetSubtreeTimingSink.
+  bool timing_open_ = false;  // Does timings_->back() describe the open subtree?
 
   // Cooperative interruption (see SetInterruptProbe).
   std::function<bool()> probe_;

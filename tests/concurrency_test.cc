@@ -401,27 +401,45 @@ TEST(ConcurrencyMiscTest, ContainsAndStatusPollsRaceTheWriter) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot open: racing lazy hydration, pinned mapping release
+// Snapshot open: naive readers vs a live writer, pinned mapping release
 // ---------------------------------------------------------------------
 
-TEST(SnapshotConcurrencyTest, RacingNaiveReadersHydrateExactlyOnce) {
-  std::string path = FreshPath("hydrate.snap");
+TEST(SnapshotConcurrencyTest, NaiveReadersRaceLiveWriterAndCompact) {
+  // Naive-backend executions pin a view at Open and run over a private
+  // copy of it, so they are reader-safe against a live writer exactly
+  // like indexed ones. Start from a reopened snapshot so the writer's
+  // first merge also migrates the store off the borrowed mapping.
+  constexpr int kBase = 100;
+  constexpr int kRows = 300;
+  std::string path = FreshPath("naive_race.snap");
   {
     Database db;
-    for (int i = 0; i < 300; ++i) {
+    for (int i = 0; i < kBase; ++i) {
       db.AddTriple("n" + std::to_string(i), "p0", "n" + std::to_string(i + 1));
     }
     ASSERT_TRUE(db.Save(path).ok());
   }
-  Result<Database> reopened = Database::Open(path);
+  OpenOptions open_options;
+  open_options.merge_threshold = 16;  // Merge churn under the readers.
+  Result<Database> reopened = Database::Open(path, open_options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   Database db = std::move(reopened).value();
 
-  // No writer here: the naive backend is only reader-safe without one.
-  // All threads race EnsureGraph through naive-backend execution.
+  std::thread writer([&] {
+    for (int i = 0; i < kRows; ++i) {
+      db.AddTriple("w" + std::to_string(i), "p0", "w" + std::to_string(i + 1));
+      if (i % 50 == 0) db.Compact();
+    }
+    db.Compact();
+  });
+
+  // Every execution must be consistent with its own pin: a
+  // snapshot-bound one counts exactly the snapshot's triples; a live one
+  // counts a size the writer published between Execute and exhaustion
+  // (the writer only adds), never less than the reader's previous count.
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> readers;
-  for (int r = 0; r < 6; ++r) {
+  for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       SessionOptions naive;
       naive.backend = Backend::kNaiveHash;
@@ -430,11 +448,46 @@ TEST(SnapshotConcurrencyTest, RacingNaiveReadersHydrateExactlyOnce) {
         failures.fetch_add(1);
         return;
       }
-      if (stmt.Count() != 300u) failures.fetch_add(1);
+      Mapping seed = testlib::MakeMapping(&db.pool(), {{"x", "n0"}, {"y", "n1"}});
+      uint64_t last = 0;
+      for (int round = 0; round < 12; ++round) {
+        Snapshot snapshot = db.GetSnapshot();
+        uint64_t pinned = 0;
+        Cursor pinned_cursor = stmt.Execute(snapshot);
+        while (pinned_cursor.Next()) ++pinned;
+        if (pinned_cursor.state() != Cursor::State::kExhausted ||
+            pinned != snapshot.size()) {
+          failures.fetch_add(1);
+          return;
+        }
+
+        const std::size_t before = db.size();
+        uint64_t live = 0;
+        Cursor live_cursor = stmt.Execute();
+        while (live_cursor.Next()) ++live;
+        const std::size_t after = db.size();
+        if (live_cursor.state() != Cursor::State::kExhausted || live < before ||
+            live > after || live < last) {
+          failures.fetch_add(1);
+          return;
+        }
+        last = live;
+        // Live membership pins (and copies) its own view too.
+        if (!stmt.Contains(seed)) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
     });
   }
+  writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(db.size(), static_cast<std::size_t>(kBase + kRows));
+  SessionOptions naive;
+  naive.backend = Backend::kNaiveHash;
+  EXPECT_EQ(db.OpenSession(naive).Prepare("(?x p0 ?y)").Count(),
+            static_cast<uint64_t>(kBase + kRows));
 }
 
 TEST(SnapshotConcurrencyTest, PinnedViewKeepsMappedSnapshotAliveAcrossMerge) {

@@ -6,14 +6,16 @@
 #include "engine/dictionary.h"
 #include "engine/indexed_store.h"
 #include "engine/join.h"
-#include "engine/query_engine.h"
 #include "hom/homomorphism.h"
 #include "rdf/generator.h"
 #include "rdf/graph.h"
 #include "rdf/scan.h"
+#include "sparql/parser.h"
 #include "sparql/semantics.h"
+#include "sparql/well_designed.h"
 #include "support/testlib.h"
 #include "util/rng.h"
+#include "wdsparql/wdsparql.h"
 
 namespace wdsparql {
 namespace {
@@ -210,79 +212,82 @@ TEST_P(JoinDifferentialTest, JoinMatchesHomomorphismEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinDifferentialTest, ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------
-// QueryEngine facade: backends must agree byte for byte.
+// Database/Session front door: backends must agree byte for byte.
 // ---------------------------------------------------------------------
 
-TEST(QueryEngineTest, PrepareRejectsSyntaxErrors) {
+TEST(EngineSessionTest, PrepareRejectsSyntaxErrors) {
   TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("a", "p", "b");
-  QueryEngine engine(graph);
-  Result<PreparedQuery> q = engine.Prepare("((?x p");
-  EXPECT_FALSE(q.ok());
-  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  Database db(&pool);
+  db.AddTriple("a", "p", "b");
+  EXPECT_EQ(ParsePattern("((?x p", &pool).status().code(),
+            StatusCode::kInvalidArgument);
+  Statement stmt = db.OpenSession().Prepare("((?x p");
+  EXPECT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.diagnostics().code, QueryDiagnostics::Code::kParseError);
 }
 
-TEST(QueryEngineTest, PrepareRejectsNonWellDesignedPatterns) {
+TEST(EngineSessionTest, PrepareRejectsNonWellDesignedPatterns) {
   TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("a", "p", "b");
-  QueryEngine engine(graph);
+  Database db(&pool);
+  db.AddTriple("a", "p", "b");
   // ?y occurs in the OPT right side and outside the OPT, but not in the
   // left side: the classic non-well-designed shape.
-  Result<PreparedQuery> q =
-      engine.Prepare("((?x p ?x) OPT (?x q ?y)) AND (?y p ?y)");
-  EXPECT_FALSE(q.ok());
-  EXPECT_EQ(q.status().code(), StatusCode::kNotWellDesigned);
+  const char* text = "((?x p ?x) OPT (?x q ?y)) AND (?y p ?y)";
+  Result<PatternPtr> parsed = ParsePattern(text, &pool);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(CheckWellDesigned(parsed.value(), pool).code(),
+            StatusCode::kNotWellDesigned);
+  Statement stmt = db.OpenSession().Prepare(text);
+  EXPECT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.diagnostics().code, QueryDiagnostics::Code::kNotWellDesigned);
 }
 
-TEST(QueryEngineTest, SimpleOptQueryOnBothBackends) {
+TEST(EngineSessionTest, SimpleOptQueryOnBothBackends) {
   TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("alice", "knows", "bob");
-  graph.Insert("bob", "knows", "carol");
-  graph.Insert("bob", "email", "bob-at-example");
+  Database db(&pool);
+  db.AddTriple("alice", "knows", "bob");
+  db.AddTriple("bob", "knows", "carol");
+  db.AddTriple("bob", "email", "bob-at-example");
   for (Backend backend : {Backend::kNaiveHash, Backend::kIndexed}) {
-    QueryEngineOptions options;
+    SessionOptions options;
     options.backend = backend;
-    QueryEngine engine(graph, options);
-    Result<PreparedQuery> q = engine.Prepare("(?x knows ?y) OPT (?y email ?e)");
-    ASSERT_TRUE(q.ok()) << BackendToString(backend);
-    std::vector<Mapping> answers = engine.Solutions(q.value());
+    Statement stmt =
+        db.OpenSession(options).Prepare("(?x knows ?y) OPT (?y email ?e)");
+    ASSERT_TRUE(stmt.ok()) << BackendToString(backend);
+    std::vector<Mapping> answers = stmt.Solutions();
     ASSERT_EQ(answers.size(), 2u) << BackendToString(backend);
-    EXPECT_EQ(engine.Count(q.value()), 2u);
+    EXPECT_EQ(stmt.Count(), 2u);
     for (const Mapping& mu : answers) {
-      EXPECT_TRUE(engine.Evaluate(q.value(), mu)) << BackendToString(backend);
+      EXPECT_TRUE(stmt.Contains(mu)) << BackendToString(backend);
     }
-    EXPECT_FALSE(engine.Evaluate(
-        q.value(), testlib::MakeMapping(&pool, {{"x", "carol"}, {"y", "alice"}})));
+    EXPECT_FALSE(
+        stmt.Contains(testlib::MakeMapping(&pool, {{"x", "carol"}, {"y", "alice"}})));
   }
 }
 
-class QueryEngineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+class BackendDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(QueryEngineDifferentialTest, BackendsProduceIdenticalVerdictsAndSolutions) {
+TEST_P(BackendDifferentialTest, BackendsProduceIdenticalVerdictsAndSolutions) {
   Rng rng(GetParam());
   TermPool pool;
   PatternPtr pattern = testlib::RandomWellDesignedUnion(&rng, &pool, 2);
   RdfGraph graph(&pool);
   testlib::SmallWorkloadGraph(&rng, 5, 16, 3, &graph);
+  Database db(&pool);
+  testlib::LoadGraph(graph, &db);
 
-  QueryEngineOptions naive_options;
+  SessionOptions naive_options;
   naive_options.backend = Backend::kNaiveHash;
-  QueryEngine naive_engine(graph, naive_options);
-  QueryEngineOptions indexed_options;
+  Statement naive_q = db.OpenSession(naive_options).PrepareParsed(pattern);
+  SessionOptions indexed_options;
   indexed_options.backend = Backend::kIndexed;
-  QueryEngine indexed_engine(graph, indexed_options);
-
-  Result<PreparedQuery> naive_q = naive_engine.PrepareParsed(pattern);
-  Result<PreparedQuery> indexed_q = indexed_engine.PrepareParsed(pattern);
+  Statement indexed_q = db.OpenSession(indexed_options).PrepareParsed(pattern);
   ASSERT_TRUE(naive_q.ok());
   ASSERT_TRUE(indexed_q.ok());
 
   // Identical enumerated solution sets (both sorted + deduplicated).
-  std::vector<Mapping> naive_solutions = naive_engine.Solutions(naive_q.value());
-  std::vector<Mapping> indexed_solutions = indexed_engine.Solutions(indexed_q.value());
+  std::vector<Mapping> naive_solutions = naive_q.Solutions();
+  std::vector<Mapping> indexed_solutions = indexed_q.Solutions();
   EXPECT_EQ(naive_solutions, indexed_solutions);
 
   // Both must equal the compositional set semantics.
@@ -291,13 +296,12 @@ TEST_P(QueryEngineDifferentialTest, BackendsProduceIdenticalVerdictsAndSolutions
   // Identical wdEVAL membership verdicts on answers and near-misses.
   Rng probe_rng(GetParam() ^ 0xfeed);
   for (const Mapping& probe : testlib::MembershipProbes(pattern, graph, &probe_rng, 8)) {
-    EXPECT_EQ(naive_engine.Evaluate(naive_q.value(), probe),
-              indexed_engine.Evaluate(indexed_q.value(), probe))
+    EXPECT_EQ(naive_q.Contains(probe), indexed_q.Contains(probe))
         << probe.ToString(pool);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QueryEngineDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, BackendDifferentialTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace

@@ -543,6 +543,48 @@ TEST(ServeTraceTest, DebugTraceRoundTripByRequestId) {
   server->Stop();
 }
 
+/// The round trip of DebugTraceRoundTripByRequestId with an explicit
+/// `?parallelism=` value, so the serial and the parallel execution paths
+/// are both covered whatever the core count of the machine.
+void ExpectTraceRoundTripAtParallelism(const std::string& parallelism,
+                                       const std::string& request_id) {
+  Database db;
+  Populate(&db);
+  auto server = StartServer(&db, [] {
+    ServerOptions options;
+    options.quiet = true;
+    return options;
+  }());
+  HttpClient client = ClientFor(*server);
+
+  HttpResponse response;
+  ASSERT_TRUE(client.Fetch("POST", "/query?parallelism=" + parallelism,
+                           "(?s <http://t/p1> ?o)", &response,
+                           {{"X-Request-Id", request_id}})
+                  .ok());
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(response.headers["x-request-id"], request_id);
+
+  HttpResponse dump;
+  ASSERT_TRUE(Eventually([&] {
+    if (!client.Get("/debug/trace?n=8", &dump).ok()) return false;
+    return dump.body.find("00000000" + request_id) != std::string::npos;
+  }));
+  EXPECT_EQ(dump.status, 200);
+  EXPECT_NE(dump.body.find("\"name\":\"request\""), std::string::npos);
+  EXPECT_NE(dump.body.find("\"name\":\"enumerate\""), std::string::npos);
+  EXPECT_NE(dump.body.find("\"name\":\"subtree\""), std::string::npos);
+  server->Stop();
+}
+
+TEST(ServeTraceTest, DebugTraceRoundTripSerial) {
+  ExpectTraceRoundTripAtParallelism("0", "cafe0000");
+}
+
+TEST(ServeTraceTest, DebugTraceRoundTripParallel) {
+  ExpectTraceRoundTripAtParallelism("4", "cafe0004");
+}
+
 TEST(ServeTraceTest, TraceParamInlinesSpans) {
   Database db;
   Populate(&db);

@@ -177,7 +177,8 @@ TEST(SnapshotTest, MutationsOnReopenedDatabaseMatchInMemory) {
 
   // Interleave adds and removes identically on both sides; the reopened
   // database starts from borrowed runs and must behave identically.
-  std::vector<Triple> victims = in_memory.graph().triples().triples();
+  std::vector<Triple> victims =
+      engine_internal::MaterializeGraph(in_memory.GetSnapshot()).triples().triples();
   for (std::size_t i = 0; i < victims.size(); i += 3) {
     std::string s = std::string(in_memory.pool().Spelling(victims[i].subject));
     std::string p = std::string(in_memory.pool().Spelling(victims[i].predicate));

@@ -127,5 +127,11 @@ std::vector<Mapping> MembershipProbes(const PatternPtr& pattern, const RdfGraph&
   return probes;
 }
 
+void LoadGraph(const RdfGraph& graph, Database* db) {
+  WriteBatch batch;
+  for (const Triple& t : graph.triples()) batch.Add(*graph.pool(), t);
+  WDSPARQL_CHECK(db->Apply(std::move(batch)).ok());
+}
+
 }  // namespace testlib
 }  // namespace wdsparql

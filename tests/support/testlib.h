@@ -8,6 +8,7 @@
 #include "sparql/ast.h"
 #include "sparql/mapping.h"
 #include "util/rng.h"
+#include "wdsparql/database.h"
 
 /// \file
 /// Shared helpers for the test and benchmark executables: random
@@ -51,6 +52,10 @@ Mapping MakeMapping(TermPool* pool,
 /// the true answers plus `extra_random` mutated non-answers.
 std::vector<Mapping> MembershipProbes(const PatternPtr& pattern, const RdfGraph& graph,
                                       Rng* rng, int extra_random);
+
+/// Loads every triple of `graph` into `db` as one `WriteBatch` (`db`
+/// should share `graph`'s pool so ids line up).
+void LoadGraph(const RdfGraph& graph, Database* db);
 
 }  // namespace testlib
 }  // namespace wdsparql

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "wdsparql/wdsparql.h"
@@ -264,6 +266,80 @@ TEST(TraceEndToEndTest, QuerySpansFormTreeRootedAtRequest) {
   }
   EXPECT_TRUE(saw_rows);
   EXPECT_TRUE(saw_outcome);
+}
+
+/// The span names, and the per-(tree, subtree) candidate annotations of
+/// the `subtree` spans, of one traced execution of `text` at
+/// `parallelism`.
+struct TraceShape {
+  std::set<std::string> names;
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> subtree_candidates;
+  bool subtrees_under_enumerate = true;
+};
+
+TraceShape TraceExecution(const Database& db, const std::string& text,
+                          uint32_t parallelism) {
+  TraceContext ctx(db.trace_recorder());
+  uint32_t root = ctx.StartSpan("request");
+  {
+    ExecOptions exec;
+    exec.trace = &ctx;
+    exec.trace_parent = root;
+    exec.parallelism = parallelism;
+    Statement stmt = db.OpenSession().Prepare(text);
+    EXPECT_TRUE(stmt.ok());
+    Cursor cursor = stmt.Execute(exec);
+    while (cursor.Next()) {
+    }
+    EXPECT_EQ(cursor.state(), Cursor::State::kExhausted);
+  }
+  ctx.EndSpan(root);
+  TraceShape shape;
+  const TraceSpan* enumerate = FindSpan(ctx.spans(), "enumerate");
+  for (const TraceSpan& span : ctx.spans()) {
+    shape.names.insert(span.name);
+    if (std::string(span.name) != "subtree") continue;
+    if (enumerate == nullptr || span.parent_id != enumerate->span_id) {
+      shape.subtrees_under_enumerate = false;
+    }
+    uint64_t tree = 0, subtree = 0, candidates = 0;
+    for (std::size_t i = 0; i < span.annotation_count; ++i) {
+      std::string key = span.annotations[i].key;
+      uint64_t value = std::stoull(span.annotations[i].value);
+      if (key == "tree") tree = value;
+      if (key == "subtree") subtree = value;
+      if (key == "candidates") candidates = value;
+    }
+    shape.subtree_candidates[{tree, subtree}] += candidates;
+  }
+  return shape;
+}
+
+TEST(TraceEndToEndTest, SerialAndParallelTracesShareSpanVocabulary) {
+  // The parallel path must explain itself in the serial path's terms:
+  // the same span names (plus one `worker` span per worker, the one
+  // layer only parallel execution has), one `subtree` span per wdpf
+  // subtree hanging off `enumerate`, and the same candidate counts.
+  Database db = MakeSmallDatabase();
+  for (int i = 0; i < 64; ++i) {
+    db.AddTriple("p" + std::to_string(i), "knows", "q" + std::to_string(i));
+    if (i % 3 == 0) {
+      db.AddTriple("q" + std::to_string(i), "email", "e" + std::to_string(i));
+    }
+  }
+  const std::string text = "(?x knows ?y) OPT (?y email ?e)";
+  TraceShape serial = TraceExecution(db, text, 0);
+  TraceShape parallel = TraceExecution(db, text, 4);
+
+  EXPECT_EQ(serial.names.count("worker"), 0u);
+  EXPECT_EQ(parallel.names.count("worker"), 1u);  // The parallel path ran.
+  std::set<std::string> parallel_names = parallel.names;
+  parallel_names.erase("worker");
+  EXPECT_EQ(parallel_names, serial.names);
+  EXPECT_EQ(serial.names.count("subtree"), 1u);
+  EXPECT_TRUE(serial.subtrees_under_enumerate);
+  EXPECT_TRUE(parallel.subtrees_under_enumerate);
+  EXPECT_EQ(parallel.subtree_candidates, serial.subtree_candidates);
 }
 
 TEST(TraceEndToEndTest, CommitPublishesSelfRootedTrace) {
