@@ -83,7 +83,9 @@ struct ExecStats {
 
   // Storage counters (indexed backend; zero on the naive-hash oracle).
   uint64_t ranges_scanned = 0;        ///< Permutation ranges materialised.
-  uint64_t values_probed = 0;         ///< Candidate values tested in merges.
+  /// Candidate values tested in merges, plus the prefix-existence
+  /// probes that filter a join level's values by its open patterns.
+  uint64_t values_probed = 0;
   uint64_t base_triples_scanned = 0;  ///< Triples read from base runs.
   uint64_t delta_triples_scanned = 0; ///< Triples read from delta runs.
   uint64_t dict_encodes = 0;          ///< Term -> DataId dictionary probes.

@@ -26,11 +26,20 @@ struct JoinCursor::State {
         const VarAssignment& fixed_in, JoinStats* stats_in)
       : keepalive(std::move(owned)), store(view), fixed(fixed_in), stats(stats_in) {}
 
-  /// One descent level: the intersected candidate values of the level's
-  /// variable under the bindings above it, and the resume position.
+  /// One descent level: the candidate values of the level's variable
+  /// under the bindings above it, the resume position, and the conjuncts
+  /// the level consults (fixed once the order is known). `closing`
+  /// conjuncts supply the values; `open` ones (another variable still
+  /// unbound) only filter them. A level where nothing closes lists every
+  /// conjunct containing its variable as `closing` and has no `open`.
+  /// `ranges` holds one value list per closing conjunct, reused across
+  /// fills so a steady descent allocates nothing.
   struct Level {
     std::vector<DataId> values;
     std::size_t pos = 0;
+    std::vector<std::size_t> closing;
+    std::vector<std::size_t> open;
+    std::vector<std::vector<DataId>> ranges;
   };
 
   std::shared_ptr<const ReadView> keepalive;  // Null for borrowed views.
@@ -42,7 +51,6 @@ struct JoinCursor::State {
   std::vector<EncConjunct> conjuncts;
   std::vector<TermId> vars;
   std::unordered_map<TermId, int> var_index;
-  std::vector<std::vector<std::size_t>> conjuncts_of_var;
   std::vector<int> order;
   std::vector<DataId> binding;
   std::vector<Level> levels;
@@ -90,7 +98,7 @@ struct JoinCursor::State {
 
     // Bind most-constrained variables first: descending pattern count,
     // ties by TermId for determinism.
-    conjuncts_of_var.assign(vars.size(), {});
+    std::vector<std::vector<std::size_t>> conjuncts_of_var(vars.size());
     for (std::size_t ci = 0; ci < conjuncts.size(); ++ci) {
       for (int pos = 0; pos < 3; ++pos) {
         int v = conjuncts[ci].var[pos];
@@ -101,7 +109,7 @@ struct JoinCursor::State {
     }
     order.resize(vars.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-    std::sort(order.begin(), order.end(), [this](int a, int b) {
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
       std::size_t ca = conjuncts_of_var[a].size();
       std::size_t cb = conjuncts_of_var[b].size();
       if (ca != cb) return ca > cb;
@@ -129,32 +137,55 @@ struct JoinCursor::State {
     }
     binding.assign(vars.size(), kNoDataId);
     levels.resize(order.size());
+    // A conjunct closes at the level binding the last of its variables.
+    std::vector<std::size_t> depth_of(vars.size());
+    for (std::size_t d = 0; d < order.size(); ++d) depth_of[order[d]] = d;
+    for (std::size_t d = 0; d < order.size(); ++d) {
+      Level& level = levels[d];
+      for (std::size_t ci : conjuncts_of_var[order[d]]) {
+        std::size_t closes_at = 0;
+        for (int v : conjuncts[ci].var) {
+          if (v >= 0) closes_at = std::max(closes_at, depth_of[v]);
+        }
+        (closes_at == d ? level.closing : level.open).push_back(ci);
+      }
+      if (level.closing.empty()) std::swap(level.closing, level.open);
+      level.ranges.resize(level.closing.size());
+    }
     return true;
   }
 
-  /// Sorted distinct candidate values for variable `v` from conjunct
-  /// `ci`, given the current bindings. Values come out of one
-  /// permutation range; when `v` sits right after the bound prefix they
-  /// are already sorted, otherwise a sort pass normalises them.
-  std::vector<DataId> CollectValues(std::size_t ci, int v) {
-    const EncConjunct& c = conjuncts[ci];
-    EncPattern probe;
+  /// Conjunct `c`'s scan pattern at the level of `v`, given the current
+  /// bindings: constants and bound variables fixed, `v` set to `value`
+  /// (a wildcard when `kNoDataId`), unbound variables wildcards.
+  EncPattern LevelPattern(const EncConjunct& c, int v, DataId value) const {
+    DataId at[3];
+    for (int pos = 0; pos < 3; ++pos) {
+      if (c.var[pos] < 0) {
+        at[pos] = c.constant[pos];
+      } else if (c.var[pos] == v) {
+        at[pos] = value;
+      } else {
+        at[pos] = binding[c.var[pos]];  // kNoDataId while unbound: wildcard.
+      }
+    }
+    return EncPattern{at[0], at[1], at[2]};
+  }
+
+  /// Replaces `*out` with the sorted distinct values of `v` over
+  /// conjunct `c`'s range at the level of `v`. When `v` sits right after
+  /// the bound prefix (the conjunct closes here) the values arrive
+  /// sorted; otherwise a sort pass normalises them.
+  void CollectValues(const EncConjunct& c, int v, std::vector<DataId>* out) {
+    std::vector<DataId>& values = *out;
+    values.clear();
     int v_positions[3];
     int num_v_positions = 0;
     for (int pos = 0; pos < 3; ++pos) {
-      DataId bound = kNoDataId;
-      if (c.var[pos] < 0) {
-        bound = c.constant[pos];
-      } else if (c.var[pos] == v) {
-        v_positions[num_v_positions++] = pos;
-      } else {
-        bound = binding[c.var[pos]];  // kNoDataId while unbound: wildcard.
-      }
-      (pos == 0 ? probe.s : (pos == 1 ? probe.p : probe.o)) = bound;
+      if (c.var[pos] == v) v_positions[num_v_positions++] = pos;
     }
     WDSPARQL_DCHECK(num_v_positions > 0);
 
-    std::vector<DataId> values;
     auto keep = [&](const EncTriple& t) {
       // Repeated variable inside the conjunct: all its positions must
       // carry the same value.
@@ -163,12 +194,12 @@ struct JoinCursor::State {
       values.push_back(t[v_positions[0]]);
     };
     if (stats == nullptr) {
-      for (const EncTriple& t : store.Scan(probe)) keep(t);
+      for (const EncTriple& t : store.Scan(LevelPattern(c, v, kNoDataId))) keep(t);
     } else {
       // Instrumented walk: the explicit iterator exposes which run each
       // triple came from, attributing scan volume to base vs delta.
       ++stats->ranges_scanned;
-      MergedScan scan = store.Scan(probe);
+      MergedScan scan = store.Scan(LevelPattern(c, v, kNoDataId));
       for (auto it = scan.begin(); it != scan.end(); ++it) {
         ++(it.on_delta() ? stats->delta_scanned : stats->base_scanned);
         keep(*it);
@@ -178,44 +209,61 @@ struct JoinCursor::State {
       std::sort(values.begin(), values.end());
     }
     values.erase(std::unique(values.begin(), values.end()), values.end());
-    return values;
   }
 
-  /// Galloping intersection of sorted candidate lists, smallest first.
-  std::vector<DataId> Intersect(std::vector<std::vector<DataId>> lists) {
-    std::sort(lists.begin(), lists.end(),
-              [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    std::vector<DataId> current = std::move(lists.front());
-    for (std::size_t i = 1; i < lists.size() && !current.empty(); ++i) {
-      const std::vector<DataId>& other = lists[i];
-      std::vector<DataId> next;
-      next.reserve(current.size());
-      auto it = other.begin();
-      for (DataId value : current) {
-        if (stats != nullptr) ++stats->values_probed;
-        it = std::lower_bound(it, other.end(), value);
-        if (it == other.end()) break;
-        if (*it == value) next.push_back(value);
-      }
-      current = std::move(next);
+  /// Keeps the values of sorted `current` that also occur in sorted
+  /// `other` (a galloping merge).
+  void IntersectWith(const std::vector<DataId>& other, std::vector<DataId>* current) {
+    std::size_t kept = 0;
+    auto it = other.begin();
+    for (DataId value : *current) {
+      if (stats != nullptr) ++stats->values_probed;
+      it = std::lower_bound(it, other.end(), value);
+      if (it == other.end()) break;
+      if (*it == value) (*current)[kept++] = value;
     }
-    return current;
+    current->resize(kept);
   }
 
-  /// Computes level `d`'s value list under the bindings above it. An
-  /// empty conjunct list short-circuits to an empty level (dead branch).
+  /// Keeps the values of `current` that leave open conjunct `c`
+  /// satisfiable: one prefix-existence probe per value, with `v` bound
+  /// and the conjunct's other unbound variables left as wildcards. At
+  /// most two positions are bound, so every probe is a prefix of one
+  /// permutation and costs a binary search.
+  void FilterByProbe(const EncConjunct& c, int v, std::vector<DataId>* current) {
+    std::size_t kept = 0;
+    for (DataId value : *current) {
+      if (stats != nullptr) ++stats->values_probed;
+      if (!store.Scan(LevelPattern(c, v, value)).empty()) (*current)[kept++] = value;
+    }
+    current->resize(kept);
+  }
+
+  /// Computes level `d`'s value list under the bindings above it: the
+  /// intersection of the closing conjuncts' ranges, filtered by every
+  /// open conjunct. An empty range short-circuits to an empty level
+  /// (dead branch).
   void FillLevel(std::size_t d) {
     Level& level = levels[d];
     level.values.clear();
     level.pos = 0;
     int v = order[d];
-    std::vector<std::vector<DataId>> lists;
-    lists.reserve(conjuncts_of_var[v].size());
-    for (std::size_t ci : conjuncts_of_var[v]) {
-      lists.push_back(CollectValues(ci, v));
-      if (lists.back().empty()) return;  // Dead branch.
+    std::vector<std::vector<DataId>>& ranges = level.ranges;
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      CollectValues(conjuncts[level.closing[i]], v, &ranges[i]);
+      if (ranges[i].empty()) return;  // Dead branch.
     }
-    level.values = Intersect(std::move(lists));
+    // Intersect smallest first; swapping keeps every buffer's capacity.
+    std::sort(ranges.begin(), ranges.end(),
+              [](const auto& a, const auto& b) { return a.size() < b.size(); });
+    level.values.swap(ranges.front());
+    for (std::size_t i = 1; i < ranges.size() && !level.values.empty(); ++i) {
+      IntersectWith(ranges[i], &level.values);
+    }
+    for (std::size_t ci : level.open) {
+      if (level.values.empty()) return;
+      FilterByProbe(conjuncts[ci], v, &level.values);
+    }
   }
 
   void Emit(VarAssignment* out) {

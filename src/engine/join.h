@@ -16,12 +16,25 @@
 /// solutions over a ground store are exactly the homomorphisms of the
 /// pattern set. Where the generic CSP solver of hom/homomorphism.h
 /// backtracks over per-variable domains with AC-3 propagation, this join
-/// binds variables one at a time in a fixed global order and, at each
-/// level, intersects the *sorted* candidate ranges contributed by every
-/// pattern containing the variable — the variable-at-a-time scheme of
-/// leapfrog triejoin, with galloping (exponential-probe) merges over the
-/// permutation ranges of `IndexedStore`. Candidate values arrive sorted
-/// because `DataId` order is preserved inside every permutation range.
+/// binds variables one at a time in a fixed global order — the
+/// variable-at-a-time scheme of generic join and leapfrog triejoin.
+///
+/// A pattern *closes* at the level binding `v` when every one of its
+/// variables other than `v` is bound above it. At each level:
+///
+///  * the candidate values are the intersection of the ranges of the
+///    patterns that close there. Each is a prefix range with `v` next in
+///    the permutation, so its values arrive sorted and the galloping
+///    merge needs no sort;
+///  * every other pattern containing `v` (still open) filters those
+///    values with one prefix-existence probe per value — `v` bound, its
+///    unbound variables wildcards, a binary search;
+///  * at a level where nothing closes (the root of a constant-free
+///    pattern), every pattern containing `v` contributes its projected
+///    range to the intersection.
+///
+/// Every pattern closes at exactly one level and is enforced there, so
+/// the solution set does not depend on the variable order.
 ///
 /// The join is exposed two ways: `JoinCursor`, a pull-based resumable
 /// iterator (the engine's suspendable enumeration and the parallel
@@ -35,7 +48,7 @@ namespace wdsparql {
 /// so no shared state sits on the enumeration hot path.
 struct JoinStats {
   uint64_t ranges_scanned = 0;  ///< Permutation ranges materialised.
-  uint64_t values_probed = 0;   ///< Candidate values tested in merges.
+  uint64_t values_probed = 0;   ///< Candidate values tested in merges or probes.
   uint64_t emitted = 0;         ///< Solutions produced.
   uint64_t base_scanned = 0;    ///< Triples read from base runs.
   uint64_t delta_scanned = 0;   ///< Triples read from delta runs.

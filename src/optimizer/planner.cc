@@ -65,6 +65,18 @@ struct Model {
   std::vector<Conjunct> conjuncts;
   int num_vars = 0;
 
+  static bool Contains(const Conjunct& c, int v) {
+    return c.var[0] == v || c.var[1] == v || c.var[2] == v;
+  }
+
+  /// True iff every variable of `c` other than `v` is in `mask`.
+  static bool Closes(const Conjunct& c, int v, uint32_t mask) {
+    for (int u : c.var) {
+      if (u >= 0 && u != v && ((mask >> u) & 1u) == 0) return false;
+    }
+    return true;
+  }
+
   /// Expected triples matching `c` for one random binding of the
   /// variables in `mask` (independence assumption: each var-bound
   /// position divides the base cardinality by the position's distinct
@@ -99,15 +111,28 @@ struct Model {
     return sel == kInf ? 0.0 : sel;
   }
 
-  /// Scan work at the level binding `v` (per partial binding above it):
-  /// each conjunct containing `v` walks its estimated matching range.
+  /// Join work at the level binding `v` (per partial binding above it),
+  /// as `JoinCursor` does it: each conjunct closing at the level (every
+  /// other variable in `mask`) walks its estimated range, and each open
+  /// conjunct costs one existence probe per candidate value. When
+  /// nothing closes, every conjunct containing `v` walks its range.
   double LevelWork(int v, uint32_t mask) const {
-    double work = 0;
+    double closing = 0;
+    double all = 0;
+    bool any_closing = false;
+    int num_open = 0;
     for (const Conjunct& c : conjuncts) {
-      bool contains = c.var[0] == v || c.var[1] == v || c.var[2] == v;
-      if (contains) work += EstMatches(c, mask) + kScanOverhead;
+      if (!Contains(c, v)) continue;
+      double walk = EstMatches(c, mask) + kScanOverhead;
+      all += walk;
+      if (Closes(c, v, mask)) {
+        closing += walk;
+        any_closing = true;
+      } else {
+        ++num_open;
+      }
     }
-    return work;
+    return any_closing ? closing + num_open * Selectivity(v, mask) : all;
   }
 
   /// Estimated bindings of the variable set `mask`, computed canonically
@@ -268,25 +293,20 @@ std::optional<SubtreePlan> PlanSubtree(const ReadView& view,
     }
   }
 
-  // Report, per conjunct, the permutation its first scan touches: at
-  // the first level binding one of its variables, the bound positions
-  // are its constants plus variables bound at earlier levels.
+  // Report, per conjunct, the permutation of the range it walks at its
+  // closing level (the level binding its last variable): every position
+  // but those of that variable is bound there.
   plan.scan_perms.assign(model.conjuncts.size(), Permutation::kSpo);
-  std::vector<char> scanned(model.conjuncts.size(), 0);
   uint32_t bound = 0;
   for (int v : order) {
     for (std::size_t ci = 0; ci < model.conjuncts.size(); ++ci) {
       const Conjunct& c = model.conjuncts[ci];
-      bool contains = c.var[0] == v || c.var[1] == v || c.var[2] == v;
-      if (!contains || scanned[ci]) continue;
+      if (!Model::Contains(c, v) || !Model::Closes(c, v, bound)) continue;
       int mask3 = 0;
       for (int pos = 0; pos < 3; ++pos) {
-        bool is_bound = c.var[pos] < 0 ||
-                        (c.var[pos] != v && ((bound >> c.var[pos]) & 1u) != 0);
-        if (is_bound) mask3 |= 1 << pos;
+        if (c.var[pos] != v) mask3 |= 1 << pos;
       }
       plan.scan_perms[ci] = enc_order::PermForBoundMask(mask3);
-      scanned[ci] = 1;
     }
     bound |= 1u << v;
   }

@@ -28,7 +28,9 @@
 /// assumption for positions bound by earlier variables (divide by the
 /// position's distinct-value count), and a bottom-up dynamic program
 /// over variable subsets (Held-Karp style, exact up to `kDpMaxVars`
-/// variables, greedy beyond) minimising estimated scan volume.
+/// variables, greedy beyond) minimising the estimated work of the join
+/// as `JoinCursor` runs it: range walks for the conjuncts closing at a
+/// level, existence probes for the open ones.
 ///
 /// Determinism matters beyond reproducibility: parallel workers each
 /// plan their own cursor over the same pinned view and partition work
@@ -50,12 +52,14 @@ struct SubtreePlan {
   /// what `JoinCursor` consumes.
   std::vector<TermId> var_order;
   /// Per non-ground conjunct, in pattern order: the permutation index
-  /// its first scan under `var_order` touches (reporting only; the
-  /// store re-derives this from bound positions at scan time).
+  /// of the range it walks at its closing level under `var_order` (the
+  /// level binding its last variable; reporting only, the store
+  /// re-derives this from bound positions at scan time).
   std::vector<Permutation> scan_perms;
   /// Estimated solutions of the subtree (independence assumption).
   double est_rows = 0;
-  /// Estimated scan volume of the whole descent under `var_order`.
+  /// Estimated join work (range walks plus existence probes) of the
+  /// whole descent under `var_order`.
   double est_cost = 0;
 };
 

@@ -209,6 +209,104 @@ TEST_P(JoinDifferentialTest, JoinMatchesHomomorphismEnumeration) {
   }
 }
 
+// Every variable order, as a planner would inject it, over a view with
+// and without live delta runs and tombstones. Each join level takes its
+// values from the conjuncts that close there and probes the rest, so the
+// orders exercise every mix of closing and open conjuncts per level —
+// including levels below the root where nothing closes.
+TEST_P(JoinDifferentialTest, EveryVariableOrderMatchesOverBaseAndDelta) {
+  for (bool with_delta : {false, true}) {
+    SCOPED_TRACE(with_delta ? "base + delta + tombstones" : "base only");
+    Rng rng(GetParam() * 31 + (with_delta ? 1 : 0));
+    TermPool pool;
+    RdfGraph graph(&pool);
+    testlib::SmallWorkloadGraph(&rng, 5, 30, 2, &graph);
+    IndexedStore store = IndexedStore::Build(graph.triples());
+    if (with_delta) {
+      // Unmerged writes: fresh triples (one with a term the base never
+      // saw) land in the delta runs, erased base triples become
+      // tombstones. The oracle graph mirrors every write.
+      store.set_merge_threshold(1u << 20);
+      std::vector<TermId> terms = graph.triples().Iris();
+      terms.push_back(pool.InternIri("fresh"));
+      for (int i = 0; i < 12; ++i) {
+        Triple t(terms[rng.NextBounded(terms.size())], terms[rng.NextBounded(terms.size())],
+                 terms[rng.NextBounded(terms.size())]);
+        if (store.Insert(t)) graph.Insert(t);
+      }
+      std::vector<Triple> base = graph.triples().triples();
+      for (int i = 0; i < 6; ++i) {
+        const Triple t = base[rng.NextBounded(base.size())];
+        if (store.Erase(t)) graph.Remove(t);
+      }
+      ASSERT_GT(store.view().pending_delta(), 0u);
+    }
+    ASSERT_EQ(store.size(), graph.size());
+
+    std::vector<TermId> nodes = graph.triples().Iris();
+    for (int trial = 0; trial < 20; ++trial) {
+      // Exactly k distinct variables, k = 1..5: each takes one random
+      // position; the remaining positions are variables or graph terms.
+      const int k = 1 + trial % 5;
+      std::vector<TermId> vars;
+      for (int i = 0; i < k; ++i) vars.push_back(pool.InternVariable("v" + std::to_string(i)));
+      const int num_triples = (k + 1) / 2 + static_cast<int>(rng.NextBounded(2));
+      std::vector<int> slots(3 * num_triples);
+      for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = static_cast<int>(i);
+      rng.Shuffle(slots);
+      std::vector<TermId> terms(slots.size());
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (i < vars.size()) {
+          terms[slots[i]] = vars[i];
+        } else if (rng.NextBounded(3) == 0) {
+          terms[slots[i]] = vars[rng.NextBounded(vars.size())];
+        } else {
+          terms[slots[i]] = nodes[rng.NextBounded(nodes.size())];
+        }
+      }
+      TripleSet pattern;
+      for (int i = 0; i < num_triples; ++i) {
+        pattern.Insert(Triple(terms[3 * i], terms[3 * i + 1], terms[3 * i + 2]));
+      }
+      if (trial % 2 == 1) {
+        // A variable repeated inside one conjunct.
+        TermId v = vars[rng.NextBounded(vars.size())];
+        TermId c = nodes[rng.NextBounded(nodes.size())];
+        pattern.Insert(rng.NextBounded(2) == 0 ? Triple(v, c, v) : Triple(v, v, c));
+      }
+      VarAssignment fixed;
+      if (rng.NextBounded(3) == 0) {
+        fixed[vars[rng.NextBounded(vars.size())]] = nodes[rng.NextBounded(nodes.size())];
+      }
+
+      std::vector<VarAssignment> hom_results;
+      EnumerateHomomorphisms(pattern, fixed, graph.triples(), [&](const VarAssignment& a) {
+        hom_results.push_back(a);
+        return true;
+      });
+      const std::vector<Mapping> expected = SortedMappings(hom_results);
+      EXPECT_EQ(JoinExists(store.view(), pattern.triples(), fixed), !hom_results.empty())
+          << "trial " << trial;
+
+      std::vector<TermId> order;
+      for (TermId v : pattern.Variables()) {
+        if (fixed.count(v) == 0) order.push_back(v);
+      }
+      std::sort(order.begin(), order.end());
+      int orders = 0;
+      do {
+        JoinCursor cursor(store.view(), pattern.triples(), fixed, nullptr, &order);
+        std::vector<VarAssignment> join_results;
+        VarAssignment out;
+        while (cursor.Next(&out)) join_results.push_back(out);
+        EXPECT_EQ(SortedMappings(join_results), expected)
+            << "trial " << trial << " order #" << orders;
+        ++orders;
+      } while (std::next_permutation(order.begin(), order.end()));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinDifferentialTest, ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "engine/api_internal.h"
+#include "engine/indexed_store.h"
+#include "engine/join.h"
+#include "optimizer/planner.h"
 #include "storage/snapshot.h"
 #include "support/testlib.h"
 #include "util/rng.h"
@@ -360,6 +364,95 @@ TEST(OptimizerPlanChoiceTest, EstimatesAreExactWithoutPendingDelta) {
   const ExecStats::Subpattern& sub = cursor.stats()->subpatterns.front();
   // One conjunct, one constant (p0): the estimate is the exact P-count.
   EXPECT_EQ(sub.est_rows, 16.0);
+}
+
+// ---------------------------------------------------------------------
+// Scan volume: a join level reads only the ranges of the conjuncts that
+// close there, so the planned work of a query bound to a small city must
+// not grow with an unrelated hub elsewhere in the graph.
+// ---------------------------------------------------------------------
+
+/// A fixed core — three residents of city c, each with an email, the
+/// first of whom knows a member of a directed knows-triangle — beside a
+/// hub with `n` knows edges to fresh people, each with an email of their
+/// own. Every person is a subject, so the knows and email counts never
+/// exceed the distinct-subject count and no single-bound estimate moves
+/// with `n`.
+IndexedStore BuildHubGraph(TermPool* pool, int n) {
+  std::vector<Triple> triples;
+  auto add = [&](const std::string& s, const std::string& p, const std::string& o) {
+    triples.emplace_back(pool->InternIri(s), pool->InternIri(p), pool->InternIri(o));
+  };
+  for (int i = 0; i < 3; ++i) {
+    add("r" + std::to_string(i), "livesIn", "c");
+    add("r" + std::to_string(i), "email", "e" + std::to_string(i));
+  }
+  add("r0", "knows", "a");
+  add("a", "knows", "b");
+  add("b", "knows", "d");
+  add("d", "knows", "a");
+  for (int i = 0; i < n; ++i) {
+    add("hub", "knows", "n" + std::to_string(i));
+    add("n" + std::to_string(i), "email", "m" + std::to_string(i));
+  }
+  return IndexedStore::Build(triples);
+}
+
+struct PlannedRun {
+  double est_cost = 0;
+  uint64_t base_scanned = 0;
+  uint64_t rows = 0;
+};
+
+using Conjuncts = std::vector<std::array<std::string, 3>>;
+
+/// Plans `conjuncts` (a leading '?' marks a variable) over the hub graph
+/// of size `n` and runs the join in the planned order.
+PlannedRun RunPlanned(TermPool* pool, int n, const Conjuncts& conjuncts) {
+  IndexedStore store = BuildHubGraph(pool, n);
+  std::vector<Triple> patterns;
+  for (const auto& spelled : conjuncts) {
+    TermId t[3];
+    for (int pos = 0; pos < 3; ++pos) {
+      const std::string& term = spelled[pos];
+      t[pos] = term[0] == '?' ? pool->InternVariable(term.substr(1)) : pool->InternIri(term);
+    }
+    patterns.emplace_back(t[0], t[1], t[2]);
+  }
+  std::optional<optimizer::SubtreePlan> plan = optimizer::PlanSubtree(store.view(), patterns);
+  EXPECT_TRUE(plan.has_value());
+  PlannedRun run;
+  if (!plan.has_value()) return run;
+  run.est_cost = plan->est_cost;
+  JoinStats stats;
+  JoinCursor cursor(store.view(), patterns, VarAssignment{}, &stats, &plan->var_order);
+  VarAssignment out;
+  while (cursor.Next(&out)) ++run.rows;
+  run.base_scanned = stats.base_scanned;
+  return run;
+}
+
+TEST(OptimizerScanVolumeTest, LocalQueriesDoNotScaleWithAnUnrelatedHub) {
+  const Conjuncts kQueries[] = {
+      // The subtree of an OPT child closing a directed triangle.
+      {{"?x", "livesIn", "c"},
+       {"?x", "knows", "?a"},
+       {"?a", "knows", "?b"},
+       {"?b", "knows", "?c"},
+       {"?c", "knows", "?a"}},
+      {{"?x", "livesIn", "c"}, {"?x", "email", "?e"}},
+  };
+  constexpr int kN = 256;
+  for (const Conjuncts& query : kQueries) {
+    SCOPED_TRACE("conjuncts: " + std::to_string(query.size()));
+    TermPool pool;
+    PlannedRun small = RunPlanned(&pool, kN, query);
+    PlannedRun large = RunPlanned(&pool, 4 * kN, query);
+    EXPECT_GT(small.rows, 0u);
+    EXPECT_EQ(small.rows, large.rows);
+    EXPECT_EQ(small.base_scanned, large.base_scanned);
+    EXPECT_EQ(small.est_cost, large.est_cost);
+  }
 }
 
 }  // namespace
