@@ -17,9 +17,10 @@
 /// resumes the engine's suspendable enumeration state machine just long
 /// enough to produce one more distinct (projected, filtered) answer,
 /// and `Close` releases the machinery (and the pinned view) early.
-/// Nothing is materialised ahead of the consumer beyond the current
-/// subtree's candidate batch, so closing a cursor after the first row
-/// skips the maximality certificates of every answer never asked for.
+/// Candidates are pulled one at a time on both backends, so nothing is
+/// materialised ahead of the consumer: closing a cursor after the first
+/// row skips the candidates and maximality certificates of every answer
+/// never asked for.
 ///
 /// Executions can be bounded per call with `ExecOptions` (row limits,
 /// deadlines, cancellation tokens — see wdsparql/exec_options.h) and

@@ -108,9 +108,8 @@ class Statement {
   /// pinned view in place; the naive-hash oracle materialises a private
   /// copy of the pinned content at Open, as it does for every execution
   /// (O(dataset) per cursor — meant for differential testing, not
-  /// production reads). An invalid
-  /// snapshot or one from another database yields a kFailed cursor
-  /// with kInternal diagnostics.
+  /// production reads). An invalid snapshot or one from another
+  /// database yields a kFailed cursor with kInternal diagnostics.
   Cursor Execute(const Snapshot& snapshot, const ExecOptions& options = {}) const;
   Cursor Execute(const std::vector<std::string>& projection,
                  const Snapshot& snapshot, const ExecOptions& options = {}) const;
@@ -135,10 +134,11 @@ class Statement {
   /// state `snapshot` pinned, regardless of batches committed since —
   /// the membership analogue of the snapshot `Execute` overloads, so a
   /// server can answer a stream of membership probes from one
-  /// repeatable-read point. Indexed backend only: returns false on the
-  /// naive-hash oracle backend, on an invalid
-  /// snapshot, or on a snapshot from another database — mirroring the
-  /// plain overload's false-on-failed-statement convention.
+  /// repeatable-read point. Both backends answer, as for the snapshot
+  /// `Execute` overloads (the naive-hash oracle tests a private copy of
+  /// the pinned content). Returns false on an invalid snapshot or on a
+  /// snapshot from another database — mirroring the plain overload's
+  /// false-on-failed-statement convention.
   bool Contains(const Mapping& mu, const Snapshot& snapshot) const;
 
   /// \internal Shared prepared state.

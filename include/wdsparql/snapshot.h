@@ -32,12 +32,12 @@
 ///  * The `Database` must outlive the snapshot (the snapshot pins
 ///    storage, not the database object).
 ///  * Snapshots are immutable and freely copyable; copies share the pin.
-///  * Both backends serve snapshot-bound executions. The indexed
-///    backend reads the pinned view in place; the naive oracle
-///    materialises a private copy of the pinned content per cursor, as
-///    it does for every execution — O(dataset) at Open, intended for
-///    differential testing against the indexed engine under a live
-///    writer.
+///  * Both backends serve snapshot-bound executions and membership
+///    tests. The indexed backend reads the pinned view in place; the
+///    naive oracle materialises a private copy of the pinned content per
+///    cursor or test, as it does for every execution — O(dataset) each,
+///    intended for differential testing against the indexed engine
+///    under a live writer.
 
 namespace wdsparql {
 

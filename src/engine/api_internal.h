@@ -228,20 +228,14 @@ EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
 EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
                                         int pebble_promise);
 
-/// wdEVAL membership on the session's backend (no filter application).
-/// Pins its own view for the duration of the call (the naive backend
-/// tests against a copy of it), so it is reader-thread safe against a
-/// live writer.
+/// wdEVAL membership on the session's backend (no filter application),
+/// decided against exactly the state `view` pinned, whatever the writer
+/// has committed since. The caller keeps the view pinned for the call.
+/// The indexed backend tests the view in place; the naive backend tests
+/// a private copy of it (see `MaterializeGraph`).
 bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
                         const PatternForest& forest, const Mapping& mu,
-                        EvalStats* stats = nullptr);
-
-/// wdEVAL membership over an explicitly pinned view (indexed machinery
-/// only): the test decides mu ∈ JPKG against exactly the state `view`
-/// pinned, whatever the writer has committed since. Backs the public
-/// snapshot-bound `Statement::Contains` overload.
-bool EvaluateMembershipOnView(const PatternForest& forest, const Mapping& mu,
-                              const ReadView& view, EvalStats* stats = nullptr);
+                        const ReadView& view, EvalStats* stats = nullptr);
 
 }  // namespace engine_internal
 

@@ -504,11 +504,12 @@ EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
 
 EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
                                         int pebble_promise) {
+  // One scan adapter shared by every generator and certificate; the
+  // lambdas keep it and the graph it wraps alive for the hooks' lifetime.
+  auto scan = std::make_shared<const HashTripleSource>(graph->triples());
   EnumerationHooks hooks;
-  hooks.candidates = [graph](const TripleSet& pattern,
-                             const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, HashTripleSource(graph->triples()),
-                           emit);
+  hooks.open_candidates = [graph, scan](const TripleSet& pattern) {
+    return OpenHomCandidates(pattern, *scan);
   };
   if (pebble_promise > 0) {
     int k = pebble_promise;
@@ -517,33 +518,25 @@ EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
                             k + 1);
     };
   } else {
-    hooks.extends = [graph](const TripleSet& combined, const Mapping& mu) {
-      return HasHomomorphism(combined, MappingToAssignment(mu),
-                             HashTripleSource(graph->triples()));
+    hooks.extends = [graph, scan](const TripleSet& combined, const Mapping& mu) {
+      return HasHomomorphism(combined, MappingToAssignment(mu), *scan);
     };
   }
   return hooks;
 }
 
-bool EvaluateMembershipOnView(const PatternForest& forest, const Mapping& mu,
-                              const ReadView& view, EvalStats* stats) {
-  VarAssignment fixed = MappingToAssignment(mu);
-  return WdEvalWith(forest, view, mu, stats, [&](const TripleSet& combined) {
-    return JoinExists(view, combined.triples(), fixed);
-  });
-}
-
 bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
                         const PatternForest& forest, const Mapping& mu,
-                        EvalStats* stats) {
-  // Pin once for the whole membership test: candidate scans and the
-  // maximality certificates all read the same consistent snapshot.
-  std::shared_ptr<const ReadView> view = db.store.PinView();
+                        const ReadView& view, EvalStats* stats) {
   if (options.backend == Backend::kIndexed) {
-    return EvaluateMembershipOnView(forest, mu, *view, stats);
+    VarAssignment fixed = MappingToAssignment(mu);
+    return WdEvalWith(forest, view, mu, stats, [&](const TripleSet& combined) {
+      return JoinExists(view, combined.triples(), fixed);
+    });
   }
-  RdfGraph graph = MaterializeGraph(*view, db.pool);
-  view.reset();  // The copy is private; release the pin before the test.
+  // The naive oracle tests against a private copy of the view, as every
+  // naive execution does (see Cursor::Open).
+  RdfGraph graph = MaterializeGraph(view, db.pool);
   if (options.pebble_promise > 0) {
     return PebbleWdEval(forest, graph, mu, options.pebble_promise, stats);
   }

@@ -56,8 +56,8 @@ namespace wdsparql {
 class IndexedStore final : public TripleSource {
  public:
   /// Delta size (inserts + tombstones) that triggers an automatic
-  /// `MergeDelta` from a mutation. Small enough that sorted-delta
-  /// insertion stays cheap, large enough to amortise the linear merge.
+  /// `MergeDelta` from `ApplyBatch`. Small enough that rebuilding the
+  /// sorted delta stays cheap, large enough to amortise the linear merge.
   static constexpr std::size_t kDefaultMergeThreshold = 4096;
 
   IndexedStore();
@@ -89,27 +89,17 @@ class IndexedStore final : public TripleSource {
 
   // Mutation (single writer) ------------------------------------------
 
-  /// Inserts `t`, growing the dictionary as needed; returns true iff it
-  /// was not already present. O(delta) for the copy-on-write sorted-run
-  /// insertion, amortised O(size/threshold) for merges. Publishes a new
-  /// view on success.
-  bool Insert(const Triple& t);
-
-  /// Removes `t`; returns true iff it was present. Base-resident triples
-  /// are tombstoned (physically removed by the next merge); delta
-  /// triples are removed copy-on-write. Publishes a new view on success.
-  bool Erase(const Triple& t);
-
-  /// Applies a pre-resolved net batch in one step: every triple of
-  /// `adds` must be absent from the current view and every triple of
-  /// `removes` present (`Database::Apply` guarantees both by computing
-  /// the net effect first). Builds ONE successor delta copy-on-write —
-  /// one linear pass per permutation, O(batch log batch + delta)
-  /// however large the batch — and performs ONE view publish; when the
-  /// grown delta crosses the merge threshold, the fold happens inside
-  /// the same step and the merge's publish is the only one. This is the
-  /// amortised bulk path that retires the old per-triple loop (and the
-  /// empty-database-only `Build` fast path) for ingest.
+  /// Applies a pre-resolved net batch in one step — the store's one
+  /// write path: every triple of `adds` must be absent from the current
+  /// view and every triple of `removes` present (`Database::Apply`
+  /// guarantees both by computing the net effect first). Adds grow the
+  /// dictionary as needed; removes of base-resident triples become
+  /// tombstones, removes of delta triples leave the delta. Builds ONE
+  /// successor delta copy-on-write — one linear pass per permutation,
+  /// O(batch log batch + delta) however large the batch — and performs
+  /// ONE view publish; when the grown delta crosses the merge threshold,
+  /// the fold happens inside the same step and the merge's publish is
+  /// the only one.
   /// A non-null `trace` receives `delta_build` and `publish` (or
   /// `compact`, when the batch crosses the merge threshold) spans under
   /// `trace_parent`; writer-side, so no synchronisation is needed.
@@ -231,7 +221,6 @@ class IndexedStore final : public TripleSource {
   std::vector<TermId> AllTerms() const override { return view_->AllTerms(); }
 
  private:
-  void MaybeMerge();
   /// Builds and atomically publishes the view of the current state.
   void Publish();
 

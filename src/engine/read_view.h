@@ -103,10 +103,10 @@ struct PermLess {
 class MergedScan {
  public:
   /// Tombstoned base-resident triples, sorted in SPO order. A sorted
-  /// vector (not a hash set) so the writer's copy-on-write per `Erase`
-  /// is one memcpy + insertion rather than a rehash of every node;
-  /// membership during scans is a binary search, and the common case —
-  /// no tombstones at all — stays a single emptiness test.
+  /// vector (not a hash set) so the writer's copy-on-write per batch is
+  /// one linear merge rather than a rehash of every node; membership
+  /// during scans is a binary search, and the common case — no
+  /// tombstones at all — stays a single emptiness test.
   using Tombstones = std::vector<EncTriple>;
 
   MergedScan(const EncTriple* base_begin, const EncTriple* base_end,

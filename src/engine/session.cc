@@ -335,21 +335,23 @@ bool Statement::Contains(const Mapping& mu) const {
   for (const FilterCondition& filter : impl_->filters) {
     if (!filter.Satisfied(mu)) return false;
   }
+  // Pin once for the whole test: candidate scans and maximality
+  // certificates all read the same consistent state.
+  std::shared_ptr<const ReadView> view = impl_->db->store.PinView();
   return engine_internal::EvaluateMembership(*impl_->db, impl_->options,
-                                             impl_->forest, mu);
+                                             impl_->forest, mu, *view);
 }
 
 bool Statement::Contains(const Mapping& mu, const Snapshot& snapshot) const {
   if (!ok()) return false;
   // The snapshot contract mirrors ExecuteInternal's checks; with a bool
   // return the refusals collapse to false (documented in session.h).
-  if (impl_->options.backend != Backend::kIndexed) return false;
   if (!snapshot.valid() || snapshot.db_ != impl_->db) return false;
   for (const FilterCondition& filter : impl_->filters) {
     if (!filter.Satisfied(mu)) return false;
   }
-  return engine_internal::EvaluateMembershipOnView(impl_->forest, mu,
-                                                   *snapshot.view_);
+  return engine_internal::EvaluateMembership(*impl_->db, impl_->options,
+                                             impl_->forest, mu, *snapshot.view_);
 }
 
 }  // namespace wdsparql

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,6 +29,16 @@
 /// backtracking CSP search with most-constrained-variable ordering and
 /// index-driven candidate generation, exact but exponential in the worst
 /// case. The polynomial relaxation `->mu_k` lives in pebble.h.
+///
+/// The search is a pull-based resumable cursor, `HomCursor`: its
+/// backtracking is an explicit stack of frames (chosen variable, its
+/// candidate values, the resume position, the domains saved before the
+/// candidate was tried), so `Next` returns at each solution and resumes
+/// exactly there. A caller that stops after the first solution pays for
+/// one solution, not for the whole solution set. `FindHomomorphism`,
+/// `HasHomomorphism` and `EnumerateHomomorphisms` are thin drivers over
+/// a cursor, as `JoinEnumerate`/`JoinExists` are over `JoinCursor`
+/// (engine/join.h).
 
 namespace wdsparql {
 
@@ -63,8 +74,37 @@ struct HomOptions {
   /// Domain-pruning strategy (see PropagationLevel).
   PropagationLevel propagation = PropagationLevel::kFull;
 
-  /// If non-null, receives the number of search nodes explored.
+  /// If non-null, receives the number of search nodes explored (a
+  /// cursor rewrites it after every `Next`).
   uint64_t* nodes_explored = nullptr;
+};
+
+/// Pull-based resumable homomorphism search: each `Next` call produces
+/// one homomorphism from `source` to `target` extending `fixed` (the
+/// emitted assignment includes `fixed`) and suspends with the whole
+/// search stack intact.
+///
+/// The search is AC-3 at the root, then minimum-remaining-values
+/// variable choice with re-propagation after every assignment (as
+/// `HomOptions::propagation` selects), under the `HomOptions` node
+/// budget. The order of solutions is deterministic.
+///
+/// The cursor copies `source`'s triples, `fixed` and `options`, so the
+/// arguments may die after construction. It borrows `target`, which must
+/// outlive the cursor; so must the pointers inside `options`.
+class HomCursor {
+ public:
+  HomCursor(const TripleSet& source, const VarAssignment& fixed,
+            const TripleSource& target, const HomOptions& options = {});
+  ~HomCursor();
+
+  /// Produces the next homomorphism. Returns false once the search is
+  /// exhausted or the node budget ran out (and from then on).
+  bool Next(VarAssignment* out);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 /// Searches for a homomorphism h from `source` to `target` extending

@@ -28,26 +28,25 @@ std::string RenderPattern(const TermPool& pool, const TripleSet& pattern) {
   return out;
 }
 
-/// Batch-hook fallback: the whole candidate set, materialised up front
-/// and drained one pull at a time. Keeps hooks that only provide the
-/// callback-shaped `candidates` (the naive oracle backends) working
-/// unchanged behind the pull interface.
-class MaterializedGenerator final : public CandidateGenerator {
+/// `CandidateGenerator` over a resumable CSP search (see
+/// `OpenHomCandidates`).
+class HomCursorGenerator final : public CandidateGenerator {
  public:
-  bool Next(VarAssignment* out) override {
-    if (pos_ >= buffer_.size()) return false;
-    *out = std::move(buffer_[pos_++]);
-    return true;
-  }
+  HomCursorGenerator(const TripleSet& pattern, const TripleSource& target)
+      : cursor_(pattern, VarAssignment{}, target) {}
 
-  std::vector<VarAssignment>& buffer() { return buffer_; }
+  bool Next(VarAssignment* out) override { return cursor_.Next(out); }
 
  private:
-  std::vector<VarAssignment> buffer_;
-  std::size_t pos_ = 0;
+  HomCursor cursor_;
 };
 
 }  // namespace
+
+std::unique_ptr<CandidateGenerator> OpenHomCandidates(const TripleSet& pattern,
+                                                      const TripleSource& target) {
+  return std::make_unique<HomCursorGenerator>(pattern, target);
+}
 
 SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
                                        EnumerationHooks hooks)
@@ -86,71 +85,50 @@ bool SolutionEnumerator::CheckInterrupt() {
 }
 
 bool SolutionEnumerator::AdvanceSubtree() {
-  while (true) {
-    while (subtree_idx_ >= subtrees_.size()) {
-      // Drained the loaded tree (or nothing loaded yet, which the
-      // kNoTree sentinel turns into "load tree 0"): materialise the next
-      // tree's subtree list — EnumerateSolutionsWith visits the same
-      // list; holding it lets the machine suspend between any two
-      // candidates.
-      std::size_t next = tree_idx_ + 1;  // kNoTree wraps to 0.
-      if (next >= forest_->trees.size()) {
-        EndSubtreeSpan();
-        return false;
-      }
-      tree_idx_ = next;
-      subtrees_.clear();
-      EnumerateSubtrees(forest_->trees[tree_idx_],
-                        [this](const Subtree& subtree) { subtrees_.push_back(subtree); });
-      subtree_idx_ = 0;
-    }
-    const Subtree& subtree = subtrees_[subtree_idx_++];
-    cur_tree_ = subtree.tree;
-    pattern_ = SubtreePattern(subtree);
-    children_ = SubtreeChildren(subtree);
-    cur_candidates_ = 0;
-    sink_has_cur_ = false;
-    // One span per wdpf subtree, covering its whole candidate pull and
-    // the maximality work until the next boundary — this is the subtree-
-    // granular "where did the time go" answer; per-candidate cost stays
-    // out of the trace entirely.
-    EndSubtreeSpan();
-    if (trace_ != nullptr) {
-      subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
-      trace_->Annotate(subtree_span_, "tree",
-                       static_cast<uint64_t>(tree_idx_));
-      trace_->Annotate(subtree_span_, "subtree",
-                       static_cast<uint64_t>(subtree_idx_ - 1));
-    }
-    if (timings_ != nullptr) {
-      timings_->push_back(SubtreeTiming{tree_idx_, subtree_idx_ - 1,
-                                        std::chrono::steady_clock::now(), 0, 0});
-      timing_open_ = true;
-    }
-    if (hooks_.open_candidates) {
-      // Suspendable path: the generator carries the whole join state;
-      // candidates are produced one `Next` pull at a time, never
-      // materialised.
-      generator_ = hooks_.open_candidates(pattern_);
-      return true;
-    }
-    // Batch fallback: materialise the subtree's match set up front.
-    auto materialized = std::make_unique<MaterializedGenerator>();
-    hooks_.candidates(pattern_, [this, &materialized](const VarAssignment& assignment) {
-      // The interrupt check sits inside candidate generation, so even a
-      // subtree with a huge match set stops within check_interval steps
-      // (returning false tells the backend scan to stop mid-range).
-      if (CheckInterrupt()) return false;
-      materialized->buffer().push_back(assignment);
-      return true;
-    });
-    if (interrupted_) {
+  while (subtree_idx_ >= subtrees_.size()) {
+    // Drained the loaded tree (or nothing loaded yet, which the
+    // kNoTree sentinel turns into "load tree 0"): materialise the next
+    // tree's subtree list — EnumerateSolutionsWith visits the same
+    // list; holding it lets the machine suspend between any two
+    // candidates.
+    std::size_t next = tree_idx_ + 1;  // kNoTree wraps to 0.
+    if (next >= forest_->trees.size()) {
       EndSubtreeSpan();
-      return false;  // Partial batch: never delivered.
+      return false;
     }
-    generator_ = std::move(materialized);
-    return true;
+    tree_idx_ = next;
+    subtrees_.clear();
+    EnumerateSubtrees(forest_->trees[tree_idx_],
+                      [this](const Subtree& subtree) { subtrees_.push_back(subtree); });
+    subtree_idx_ = 0;
   }
+  const Subtree& subtree = subtrees_[subtree_idx_++];
+  cur_tree_ = subtree.tree;
+  pattern_ = SubtreePattern(subtree);
+  children_ = SubtreeChildren(subtree);
+  cur_candidates_ = 0;
+  sink_has_cur_ = false;
+  // One span per wdpf subtree, covering its whole candidate pull and
+  // the maximality work until the next boundary — this is the subtree-
+  // granular "where did the time go" answer; per-candidate cost stays
+  // out of the trace entirely.
+  EndSubtreeSpan();
+  if (trace_ != nullptr) {
+    subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
+    trace_->Annotate(subtree_span_, "tree",
+                     static_cast<uint64_t>(tree_idx_));
+    trace_->Annotate(subtree_span_, "subtree",
+                     static_cast<uint64_t>(subtree_idx_ - 1));
+  }
+  if (timings_ != nullptr) {
+    timings_->push_back(SubtreeTiming{tree_idx_, subtree_idx_ - 1,
+                                      std::chrono::steady_clock::now(), 0, 0});
+    timing_open_ = true;
+  }
+  // The generator carries the whole search state; candidates are
+  // produced one `Next` pull at a time, never materialised.
+  generator_ = hooks_.open_candidates(pattern_);
+  return true;
 }
 
 bool SolutionEnumerator::Next(Mapping* out) {
@@ -266,9 +244,8 @@ void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& gr
                              const std::function<bool(const Mapping&)>& callback,
                              EnumerateStats* stats) {
   EnumerationHooks hooks;
-  hooks.candidates = [&graph](const TripleSet& pattern,
-                              const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, graph, emit);
+  hooks.open_candidates = [&graph](const TripleSet& pattern) {
+    return OpenHomCandidates(pattern, graph);
   };
   hooks.extends = [&graph](const TripleSet& combined, const Mapping& mu) {
     return HasHomomorphism(combined, MappingToAssignment(mu), graph);
@@ -282,9 +259,8 @@ void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph
   WDSPARQL_CHECK(k >= 1);
   HashTripleSource scan(graph.triples());
   EnumerationHooks hooks;
-  hooks.candidates = [&scan](const TripleSet& pattern,
-                             const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, scan, emit);
+  hooks.open_candidates = [&scan](const TripleSet& pattern) {
+    return OpenHomCandidates(pattern, scan);
   };
   hooks.extends = [&graph, k](const TripleSet& combined, const Mapping& mu) {
     return PebbleGameWins(combined, MappingToAssignment(mu), graph.triples(), k + 1);

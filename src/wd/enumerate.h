@@ -92,20 +92,22 @@ class CandidateGenerator {
   virtual const CandidatePlanInfo* plan_info() const { return nullptr; }
 };
 
-/// Hooks customising the enumeration skeleton.
+/// A `CandidateGenerator` over a resumable `HomCursor`: the
+/// homomorphisms of `pattern` into `target`, one CSP solution per
+/// `Next`. The naive and pebble enumerators (and the engine's naive
+/// backend) open their candidates through this. `target` must outlive
+/// the generator.
+std::unique_ptr<CandidateGenerator> OpenHomCandidates(const TripleSet& pattern,
+                                                      const TripleSource& target);
+
+/// The storage side of the enumeration skeleton: where candidates come
+/// from and how maximality is certified. Both hooks must be set.
 struct EnumerationHooks {
-  /// Streams the homomorphism candidates of one subtree pattern into
-  /// `emit`; must stop when `emit` returns false. Fallback used when
-  /// `open_candidates` is unset: the enumerator materialises the batch
-  /// up front (the pre-suspendable behaviour — the naive oracle backends
-  /// still run this way).
-  std::function<void(const TripleSet& pattern,
-                     const std::function<bool(const VarAssignment&)>& emit)>
-      candidates;
-  /// Pull-based candidate source for one subtree pattern; preferred over
-  /// `candidates` when set. The engine's indexed backend wires a
-  /// resumable `JoinCursor` through here, which is what makes the whole
-  /// enumeration suspendable candidate-by-candidate.
+  /// Opens the pull-based candidate source of one subtree pattern: its
+  /// homomorphisms into the data, one per `Next`. The indexed backend
+  /// opens a resumable `JoinCursor` here, the naive oracles a
+  /// `HomCursor` (`OpenHomCandidates`), so the whole enumeration
+  /// suspends candidate by candidate on either backend.
   std::function<std::unique_ptr<CandidateGenerator>(const TripleSet& pattern)>
       open_candidates;
   /// Maximality certificate: true iff some homomorphism of `combined`
@@ -129,11 +131,9 @@ void EnumerateSolutionsWith(const PatternForest& forest, const EnumerationHooks&
 /// candidates one at a time from the open subtree's generator, performs
 /// deduplication and the per-child maximality certificates for as many
 /// candidates as it takes to reach the next answer, and suspends again.
-/// With a pull-based `open_candidates` hook (the indexed backend's
-/// resumable join) nothing is materialised at all: a `row_limit=1`
-/// execution generates one candidate, not the subtree's whole match
-/// set. Hooks providing only the batch `candidates` callback keep the
-/// old materialise-per-subtree behaviour.
+/// Candidate sources are pull cursors, so nothing is materialised: a
+/// `row_limit=1` execution generates one candidate, not the subtree's
+/// whole match set, on either backend.
 ///
 /// The forest must outlive the enumerator, and the hooks must stay
 /// valid (they typically close over the storage backend).
@@ -154,11 +154,11 @@ class SolutionEnumerator {
   bool Next(Mapping* out);
 
   /// Installs a cooperative interruption probe, consulted every
-  /// `interval` enumeration steps (a step is one candidate generated or
-  /// one buffered candidate examined — so the machine stops *mid-
-  /// subtree*, within a bounded amount of work, not at the next answer
-  /// boundary). Once the probe returns true the enumeration is over:
-  /// `Next` returns false from then on and `interrupted()` stays true.
+  /// `interval` enumeration steps (a step is one candidate pulled or one
+  /// subtree opened — so the machine stops *mid-subtree*, within a
+  /// bounded number of candidates, not at the next answer boundary).
+  /// Once the probe returns true the enumeration is over: `Next` returns
+  /// false from then on and `interrupted()` stays true.
   /// The engine's `Cursor` wires `ExecOptions` deadlines and
   /// cancellation tokens through this.
   void SetInterruptProbe(std::function<bool()> probe, uint32_t interval) {
@@ -202,8 +202,7 @@ class SolutionEnumerator {
 
  private:
   /// Opens the next subtree (pattern, children, candidate generator,
-  /// trace span). Returns false when every tree is exhausted or the
-  /// interruption probe fired mid-materialisation.
+  /// trace span). Returns false when every tree is exhausted.
   bool AdvanceSubtree();
 
   /// Counts one enumeration step; every `probe_interval_` steps asks
@@ -254,9 +253,8 @@ class SolutionEnumerator {
   std::size_t subtree_idx_ = 0;          // Next subtree to open.
   TripleSet pattern_;                    // pat(T') of the open subtree.
   std::vector<NodeId> children_;         // Children of the open subtree.
-  /// The open subtree's candidate source (null between subtrees). A
-  /// pull-based hook keeps the full suspendable-join state here; the
-  /// batch fallback wraps a materialised vector.
+  /// The open subtree's candidate source (null between subtrees); it
+  /// keeps the whole suspended join or CSP search state.
   std::unique_ptr<CandidateGenerator> generator_;
   uint64_t cur_candidates_ = 0;          // Candidates pulled from `generator_`.
   std::unordered_set<Mapping, MappingHash> seen_;  // Cross-subtree dedup.

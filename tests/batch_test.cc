@@ -538,19 +538,24 @@ TEST(ExecOptionsTest, CancelTokenStopsBetweenRows) {
   for (int i = 0; i < 100; ++i) {
     db.AddTriple("s" + std::to_string(i), "p0", "o");
   }
-  Statement stmt = db.OpenSession().Prepare("(?x p0 ?y)");
-  ASSERT_TRUE(stmt.ok());
+  for (Backend backend : {Backend::kIndexed, Backend::kNaiveHash}) {
+    SCOPED_TRACE(BackendToString(backend));
+    SessionOptions session;
+    session.backend = backend;
+    Statement stmt = db.OpenSession(session).Prepare("(?x p0 ?y)");
+    ASSERT_TRUE(stmt.ok());
 
-  ExecOptions options;
-  options.cancel = MakeCancelToken();
-  options.check_interval = 1;
-  Cursor cursor = stmt.Execute(options);
-  ASSERT_TRUE(cursor.Next()) << "unfired token: rows flow";
-  options.cancel->store(true);
-  EXPECT_FALSE(cursor.Next());
-  EXPECT_EQ(cursor.state(), Cursor::State::kCancelled);
-  EXPECT_EQ(cursor.diagnostics().code, QueryDiagnostics::Code::kCancelled);
-  EXPECT_EQ(cursor.rows(), 1u);
+    ExecOptions options;
+    options.cancel = MakeCancelToken();
+    options.check_interval = 1;
+    Cursor cursor = stmt.Execute(options);
+    ASSERT_TRUE(cursor.Next()) << "unfired token: rows flow";
+    options.cancel->store(true);
+    EXPECT_FALSE(cursor.Next());
+    EXPECT_EQ(cursor.state(), Cursor::State::kCancelled);
+    EXPECT_EQ(cursor.diagnostics().code, QueryDiagnostics::Code::kCancelled);
+    EXPECT_EQ(cursor.rows(), 1u);
+  }
 }
 
 TEST(ExecOptionsTest, CancelTokenFiredFromAnotherThread) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hom/homomorphism.h"
 #include "rdf/generator.h"
 #include "rdf/graph.h"
@@ -255,6 +257,83 @@ TEST_F(HomomorphismTest, NodesExploredIsReported) {
   options.nodes_explored = &nodes;
   EXPECT_TRUE(HasHomomorphism(source, {}, g.triples(), options));
   EXPECT_GT(nodes, 0u);
+}
+
+TEST_F(HomomorphismTest, CursorSuspendsAndResumesTheEnumerationSequence) {
+  // Pulling k solutions, running an unrelated search over the same
+  // target, then pulling the rest yields exactly the enumeration
+  // sequence; the first pull is what FindHomomorphism returns.
+  Rng rng(20261017);
+  for (int trial = 0; trial < 30; ++trial) {
+    RdfGraph g(&pool_);
+    testlib::SmallWorkloadGraph(&rng, 5, 18, 2, &g);
+    TripleSet source;
+    int triples = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int i = 0; i < triples; ++i) {
+      source.Insert(
+          Triple(V(("hc" + std::to_string(rng.NextBounded(4))).c_str()),
+                 I(("p" + std::to_string(rng.NextBounded(2))).c_str()),
+                 V(("hc" + std::to_string(rng.NextBounded(4))).c_str())));
+    }
+    std::vector<VarAssignment> expected;
+    EnumerateHomomorphisms(source, {}, g.triples(), [&](const VarAssignment& a) {
+      expected.push_back(a);
+      return true;
+    });
+
+    HashTripleSource scan(g.triples());
+    std::optional<VarAssignment> found = FindHomomorphism(source, {}, scan);
+    ASSERT_EQ(found.has_value(), !expected.empty()) << "trial " << trial;
+    if (found.has_value()) EXPECT_EQ(*found, expected.front()) << "trial " << trial;
+
+    for (std::size_t k : {std::size_t{0}, std::min<std::size_t>(1, expected.size()),
+                          expected.size() / 2, expected.size()}) {
+      HomCursor cursor(source, {}, scan);
+      std::vector<VarAssignment> got(k);
+      for (std::size_t i = 0; i < k; ++i) ASSERT_TRUE(cursor.Next(&got[i]));
+      HomCursor other(source, {}, scan);
+      VarAssignment scratch;
+      std::size_t other_count = 0;
+      while (other.Next(&scratch)) ++other_count;
+      EXPECT_EQ(other_count, expected.size());
+      VarAssignment a;
+      while (cursor.Next(&a)) got.push_back(a);
+      EXPECT_FALSE(cursor.Next(&a)) << "an exhausted cursor stays exhausted";
+      EXPECT_EQ(got, expected) << "trial " << trial << ", k " << k;
+    }
+  }
+}
+
+TEST_F(HomomorphismTest, CursorPaysOnlyForThePulledSolutions) {
+  TripleSet source;
+  source.Insert(Triple(V("cx"), I("p"), V("cy")));
+  source.Insert(Triple(V("cy"), I("q"), V("cz")));
+  RdfGraph g(&pool_);
+  for (int i = 0; i < 16; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      g.Insert("a" + std::to_string(i), "p", "m" + std::to_string(j));
+      g.Insert("m" + std::to_string(j), "q", "b" + std::to_string(i));
+    }
+  }
+  HashTripleSource scan(g.triples());
+  HomOptions options;
+  uint64_t nodes = 0;
+  options.nodes_explored = &nodes;
+  HomCursor cursor(source, {}, scan, options);
+  VarAssignment a;
+  ASSERT_TRUE(cursor.Next(&a));
+  const uint64_t after_one = nodes;
+  uint64_t solutions = 1;
+  while (cursor.Next(&a)) ++solutions;
+  EXPECT_EQ(solutions, 16u * 4u * 16u);
+  EXPECT_GT(after_one, 0u);
+  EXPECT_LT(after_one, nodes);
+
+  uint64_t find_nodes = 0;
+  HomOptions find_options;
+  find_options.nodes_explored = &find_nodes;
+  ASSERT_TRUE(FindHomomorphism(source, {}, scan, find_options).has_value());
+  EXPECT_EQ(find_nodes, after_one);
 }
 
 TEST_F(HomomorphismTest, CompositionProperty) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,34 +229,53 @@ TEST(ParallelEarlyExitTest, RowLimitOneStopsAfterBoundedWorkSerially) {
   TermPool pool;
   Database db(&pool);
   BuildWideJoin(&db);
-  Statement stmt = db.OpenSession().Prepare("((?x p0 ?y) AND (?y p1 ?z))");
-  ASSERT_TRUE(stmt.ok());
+  for (Backend backend : {Backend::kIndexed, Backend::kNaiveHash}) {
+    SCOPED_TRACE(BackendToString(backend));
+    SessionOptions session;
+    session.backend = backend;
+    Statement stmt = db.OpenSession(session).Prepare("((?x p0 ?y) AND (?y p1 ?z))");
+    ASSERT_TRUE(stmt.ok());
 
-  // Establish the size of the full space (and that full runs count it).
-  ExecOptions full;
-  full.collect_stats = true;
-  Cursor all = stmt.Execute(full);
-  uint64_t total = 0;
-  while (all.Next()) ++total;
-  ASSERT_EQ(total, 4096u);
-  ASSERT_NE(all.stats(), nullptr);
-  const uint64_t full_candidates = all.stats()->candidates;
-  ASSERT_GE(full_candidates, total);
+    // Establish the size of the full space (and that full runs count it).
+    ExecOptions full;
+    full.collect_stats = true;
+    Cursor all = stmt.Execute(full);
+    uint64_t total = 0;
+    while (all.Next()) ++total;
+    ASSERT_EQ(total, 4096u);
+    ASSERT_NE(all.stats(), nullptr);
+    const uint64_t full_candidates = all.stats()->candidates;
+    ASSERT_GE(full_candidates, total);
 
-  // row_limit=1: the serial engine generates candidates lazily, so the
-  // first emitted row costs O(1) candidates — not a materialised
-  // subtree batch. This is the regression guard for the suspendable
-  // join: a batching engine would show ~4096 candidates here.
-  ExecOptions exec;
-  exec.row_limit = 1;
-  exec.collect_stats = true;
-  Cursor cursor = stmt.Execute(exec);
-  ASSERT_TRUE(cursor.Next());
-  EXPECT_FALSE(cursor.Next());
-  EXPECT_EQ(cursor.state(), Cursor::State::kLimited);
-  ASSERT_NE(cursor.stats(), nullptr);
-  EXPECT_LE(cursor.stats()->candidates, 4u);
-  EXPECT_LT(cursor.stats()->values_probed, full_candidates / 4);
+    // row_limit=1: the serial engine generates candidates lazily, so the
+    // first emitted row costs O(1) candidates — not a materialised
+    // subtree batch. This is the regression guard for the suspendable
+    // join: a batching engine would show ~4096 candidates here.
+    ExecOptions exec;
+    exec.row_limit = 1;
+    exec.collect_stats = true;
+    Cursor cursor = stmt.Execute(exec);
+    ASSERT_TRUE(cursor.Next());
+    EXPECT_FALSE(cursor.Next());
+    EXPECT_EQ(cursor.state(), Cursor::State::kLimited);
+    ASSERT_NE(cursor.stats(), nullptr);
+    EXPECT_LE(cursor.stats()->candidates, 4u);
+    EXPECT_LT(cursor.stats()->values_probed, full_candidates / 4);
+
+    // The same run with the interrupt probe consulted at every step: the
+    // probe count is the enumeration's step count, so it shows whether
+    // the candidate source ran ahead of the consumer. A source that
+    // materialised the subtree before the first pull would show ~4096.
+    ExecOptions probed = exec;
+    probed.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+    probed.check_interval = 1;
+    Cursor bounded = stmt.Execute(probed);
+    ASSERT_TRUE(bounded.Next());
+    EXPECT_FALSE(bounded.Next());
+    EXPECT_EQ(bounded.state(), Cursor::State::kLimited);
+    ASSERT_NE(bounded.stats(), nullptr);
+    EXPECT_LE(bounded.stats()->interrupt_checks, 4u);
+  }
 }
 
 TEST(ParallelEarlyExitTest, RowLimitOneStopsWorkersWithinOneCheckInterval) {

@@ -431,17 +431,25 @@ TEST(SnapshotContainsTest, DecidesAgainstThePinnedStateNotTheLiveOne) {
   EXPECT_TRUE(stmt.Contains(new_pair, after));
   EXPECT_TRUE(stmt.Contains(new_pair));  // Live overload sees it too.
 
-  // Refusals collapse to false: invalid snapshot, foreign snapshot,
-  // naive backend.
+  // Refusals collapse to false: invalid snapshot, foreign snapshot.
   EXPECT_FALSE(stmt.Contains(old_pair, Snapshot()));
   Database other;
   other.AddTriple("http://t/a", "http://t/knows", "http://t/b");
   EXPECT_FALSE(stmt.Contains(old_pair, other.GetSnapshot()));
+
+  // The naive backend answers snapshot membership too, exactly as the
+  // indexed one does, and refuses the same snapshots.
   SessionOptions naive;
   naive.backend = Backend::kNaiveHash;
   Statement naive_stmt = db.OpenSession(naive).Prepare("(?x <http://t/knows> ?y)");
   ASSERT_TRUE(naive_stmt.ok());
-  EXPECT_FALSE(naive_stmt.Contains(old_pair, before));
+  for (const Mapping* pair : {&old_pair, &new_pair}) {
+    for (const Snapshot* snap : {&before, &after}) {
+      EXPECT_EQ(naive_stmt.Contains(*pair, *snap), stmt.Contains(*pair, *snap));
+    }
+  }
+  EXPECT_FALSE(naive_stmt.Contains(old_pair, Snapshot()));
+  EXPECT_FALSE(naive_stmt.Contains(old_pair, other.GetSnapshot()));
 }
 
 TEST(ServeContainsTest, EndpointAnswersMembershipOverThePinnedSnapshot) {
