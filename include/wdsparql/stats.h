@@ -83,8 +83,8 @@ struct ExecStats {
 
   // Storage counters (indexed backend; zero on the naive-hash oracle).
   uint64_t ranges_scanned = 0;        ///< Permutation ranges materialised.
-  /// Candidate values tested in merges, plus the prefix-existence
-  /// probes that filter a join level's values by its open patterns.
+  /// Candidate values tested in merges, plus the existence probes that
+  /// filter a join level's values by every pattern but its driver.
   uint64_t values_probed = 0;
   uint64_t base_triples_scanned = 0;  ///< Triples read from base runs.
   uint64_t delta_triples_scanned = 0; ///< Triples read from delta runs.

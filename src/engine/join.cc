@@ -28,12 +28,12 @@ struct JoinCursor::State {
 
   /// One descent level: the candidate values of the level's variable
   /// under the bindings above it, the resume position, and the conjuncts
-  /// the level consults (fixed once the order is known). `closing`
-  /// conjuncts supply the values; `open` ones (another variable still
-  /// unbound) only filter them. A level where nothing closes lists every
-  /// conjunct containing its variable as `closing` and has no `open`.
-  /// `ranges` holds one value list per closing conjunct, reused across
-  /// fills so a steady descent allocates nothing.
+  /// the level consults (fixed once the order is known). One `closing`
+  /// conjunct drives the level with its range and every other conjunct
+  /// containing the variable, closing or `open`, filters by probe. A
+  /// level where nothing closes has no `closing` entry: every `open`
+  /// conjunct projects its range into `ranges` (reused across fills, so
+  /// a steady descent allocates nothing) and they are intersected.
   struct Level {
     std::vector<DataId> values;
     std::size_t pos = 0;
@@ -149,8 +149,7 @@ struct JoinCursor::State {
         }
         (closes_at == d ? level.closing : level.open).push_back(ci);
       }
-      if (level.closing.empty()) std::swap(level.closing, level.open);
-      level.ranges.resize(level.closing.size());
+      if (level.closing.empty()) level.ranges.resize(level.open.size());
     }
     return true;
   }
@@ -173,10 +172,11 @@ struct JoinCursor::State {
   }
 
   /// Replaces `*out` with the sorted distinct values of `v` over
-  /// conjunct `c`'s range at the level of `v`. When `v` sits right after
-  /// the bound prefix (the conjunct closes here) the values arrive
-  /// sorted; otherwise a sort pass normalises them.
-  void CollectValues(const EncConjunct& c, int v, std::vector<DataId>* out) {
+  /// `scan`, conjunct `c`'s range at the level of `v`. When `v` sits
+  /// right after the bound prefix (the conjunct closes here) the values
+  /// arrive sorted; otherwise a sort pass normalises them.
+  void CollectValues(const MergedScan& scan, const EncConjunct& c, int v,
+                     std::vector<DataId>* out) {
     std::vector<DataId>& values = *out;
     values.clear();
     int v_positions[3];
@@ -194,12 +194,11 @@ struct JoinCursor::State {
       values.push_back(t[v_positions[0]]);
     };
     if (stats == nullptr) {
-      for (const EncTriple& t : store.Scan(LevelPattern(c, v, kNoDataId))) keep(t);
+      for (const EncTriple& t : scan) keep(t);
     } else {
       // Instrumented walk: the explicit iterator exposes which run each
       // triple came from, attributing scan volume to base vs delta.
       ++stats->ranges_scanned;
-      MergedScan scan = store.Scan(LevelPattern(c, v, kNoDataId));
       for (auto it = scan.begin(); it != scan.end(); ++it) {
         ++(it.on_delta() ? stats->delta_scanned : stats->base_scanned);
         keep(*it);
@@ -225,11 +224,11 @@ struct JoinCursor::State {
     current->resize(kept);
   }
 
-  /// Keeps the values of `current` that leave open conjunct `c`
-  /// satisfiable: one prefix-existence probe per value, with `v` bound
-  /// and the conjunct's other unbound variables left as wildcards. At
-  /// most two positions are bound, so every probe is a prefix of one
-  /// permutation and costs a binary search.
+  /// Keeps the values of `current` under which conjunct `c` still
+  /// matches: one existence probe per value, with `v` bound and the
+  /// conjunct's unbound variables left as wildcards. Every probe binds a
+  /// prefix of one permutation (all three positions for a conjunct that
+  /// closes here), so it costs a binary search.
   void FilterByProbe(const EncConjunct& c, int v, std::vector<DataId>* current) {
     std::size_t kept = 0;
     for (DataId value : *current) {
@@ -239,26 +238,48 @@ struct JoinCursor::State {
     current->resize(kept);
   }
 
-  /// Computes level `d`'s value list under the bindings above it: the
-  /// intersection of the closing conjuncts' ranges, filtered by every
-  /// open conjunct. An empty range short-circuits to an empty level
-  /// (dead branch).
+  /// Computes level `d`'s value list under the bindings above it. When
+  /// conjuncts close here, the one whose range is smallest by
+  /// `size_bound()` (ties to the first) supplies the values and every
+  /// other conjunct containing the variable filters them by probe; the
+  /// choice reads only the view and the bindings, so every cursor over
+  /// the same inputs walks the same values. When nothing closes, the
+  /// projected ranges are intersected smallest first. An empty list is
+  /// a dead branch.
   void FillLevel(std::size_t d) {
     Level& level = levels[d];
     level.values.clear();
     level.pos = 0;
-    int v = order[d];
-    std::vector<std::vector<DataId>>& ranges = level.ranges;
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      CollectValues(conjuncts[level.closing[i]], v, &ranges[i]);
-      if (ranges[i].empty()) return;  // Dead branch.
+    const int v = order[d];
+    if (level.closing.empty()) {
+      std::vector<std::vector<DataId>>& ranges = level.ranges;
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        const EncConjunct& c = conjuncts[level.open[i]];
+        CollectValues(store.Scan(LevelPattern(c, v, kNoDataId)), c, v, &ranges[i]);
+        if (ranges[i].empty()) return;  // Dead branch.
+      }
+      // Swapping keeps every buffer's capacity.
+      std::sort(ranges.begin(), ranges.end(),
+                [](const auto& a, const auto& b) { return a.size() < b.size(); });
+      level.values.swap(ranges.front());
+      for (std::size_t i = 1; i < ranges.size() && !level.values.empty(); ++i) {
+        IntersectWith(ranges[i], &level.values);
+      }
+      return;
     }
-    // Intersect smallest first; swapping keeps every buffer's capacity.
-    std::sort(ranges.begin(), ranges.end(),
-              [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    level.values.swap(ranges.front());
-    for (std::size_t i = 1; i < ranges.size() && !level.values.empty(); ++i) {
-      IntersectWith(ranges[i], &level.values);
+    std::size_t driver = 0;
+    MergedScan scan = store.Scan(LevelPattern(conjuncts[level.closing[0]], v, kNoDataId));
+    for (std::size_t i = 1; i < level.closing.size(); ++i) {
+      MergedScan other = store.Scan(LevelPattern(conjuncts[level.closing[i]], v, kNoDataId));
+      if (other.size_bound() < scan.size_bound()) {
+        scan = other;
+        driver = i;
+      }
+    }
+    CollectValues(scan, conjuncts[level.closing[driver]], v, &level.values);
+    for (std::size_t i = 0; i < level.closing.size(); ++i) {
+      if (level.values.empty()) return;
+      if (i != driver) FilterByProbe(conjuncts[level.closing[i]], v, &level.values);
     }
     for (std::size_t ci : level.open) {
       if (level.values.empty()) return;
@@ -267,7 +288,10 @@ struct JoinCursor::State {
   }
 
   void Emit(VarAssignment* out) {
-    *out = fixed;
+    // Clearing (not assigning `fixed`) keeps the bucket array across
+    // pulls, so a steady enumeration does not rehash per solution.
+    out->clear();
+    out->insert(fixed.begin(), fixed.end());
     for (std::size_t i = 0; i < vars.size(); ++i) {
       (*out)[vars[i]] = store.dict().Decode(binding[i]);
     }

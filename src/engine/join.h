@@ -22,16 +22,21 @@
 /// A pattern *closes* at the level binding `v` when every one of its
 /// variables other than `v` is bound above it. At each level:
 ///
-///  * the candidate values are the intersection of the ranges of the
-///    patterns that close there. Each is a prefix range with `v` next in
-///    the permutation, so its values arrive sorted and the galloping
-///    merge needs no sort;
-///  * every other pattern containing `v` (still open) filters those
-///    values with one prefix-existence probe per value — `v` bound, its
-///    unbound variables wildcards, a binary search;
+///  * one pattern that closes there *drives* the level: the one whose
+///    range under the current bindings is smallest by
+///    `MergedScan::size_bound()` (base plus delta range length, O(1);
+///    ties to the first). Its range is a prefix range with `v` next in
+///    the permutation, so its values arrive sorted. Ranking reads only
+///    the view and the bindings, so every cursor over the same inputs
+///    walks the same values;
+///  * every other pattern containing `v`, closing or still open, filters
+///    those values with one existence probe per value — `v` bound, its
+///    unbound variables wildcards, a binary search. So a popular value
+///    bound above (a hub with thousands of in-edges) costs one probe per
+///    candidate, not a walk of its whole range;
 ///  * at a level where nothing closes (the root of a constant-free
 ///    pattern), every pattern containing `v` contributes its projected
-///    range to the intersection.
+///    range, and the ranges are intersected smallest first.
 ///
 /// Every pattern closes at exactly one level and is enforced there, so
 /// the solution set does not depend on the variable order.

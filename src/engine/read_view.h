@@ -147,6 +147,13 @@ class MergedScan {
   /// Number of live triples in the scan. O(range) — counts by iterating;
   /// intended for tests and diagnostics, not hot paths.
   std::size_t size() const;
+  /// An O(1) upper bound on `size()`: the base range length plus the
+  /// delta range length. Tombstoned base triples are still counted, so
+  /// it overstates the live size by at most the tombstones in range.
+  std::size_t size_bound() const {
+    return static_cast<std::size_t>(base_end_ - base_begin_) +
+           static_cast<std::size_t>(delta_end_ - delta_begin_);
+  }
   bool empty() const { return !(begin() != end()); }
   /// The permutation the scan is ordered in.
   Permutation permutation() const { return perm_; }

@@ -75,6 +75,42 @@ uint64_t CardinalityStats::Count1(int pos, DataId id) const {
   return it->count;
 }
 
+void CardinalityStats::ComputeMoments() const {
+  const Array<ValueCount>& preds = single_[1];
+  const ValueCount* preds_end = preds.data + preds.size;
+  moments_.assign(preds.size, DegreeMoments{});
+  auto slot = [&](DataId p) -> DegreeMoments* {
+    const ValueCount* it = std::lower_bound(
+        preds.data, preds_end, p,
+        [](const ValueCount& entry, DataId key) { return entry.id < key; });
+    return it != preds_end && it->id == p ? &moments_[it - preds.data] : nullptr;
+  };
+  // SP entries are keyed (s, p), PO entries (p, o): each count is the
+  // degree of one S (resp. O) value within its predicate.
+  const Array<PairCount>& sp = pair_[static_cast<int>(PairKind::kSp)];
+  for (std::size_t i = 0; i < sp.size; ++i) {
+    const double d = static_cast<double>(sp.data[i].count);
+    if (DegreeMoments* m = slot(sp.data[i].b)) m->s_squares += d * d;
+  }
+  const Array<PairCount>& po = pair_[static_cast<int>(PairKind::kPo)];
+  for (std::size_t i = 0; i < po.size; ++i) {
+    const double d = static_cast<double>(po.data[i].count);
+    if (DegreeMoments* m = slot(po.data[i].a)) m->o_squares += d * d;
+  }
+}
+
+double CardinalityStats::SizeBiasedDegree(int pos, DataId p) const {
+  std::call_once(moments_once_, [this] { ComputeMoments(); });
+  const Array<ValueCount>& preds = single_[1];
+  const ValueCount* end = preds.data + preds.size;
+  const ValueCount* it = std::lower_bound(
+      preds.data, end, p,
+      [](const ValueCount& entry, DataId key) { return entry.id < key; });
+  if (it == end || it->id != p || it->count == 0) return 0;
+  const DegreeMoments& m = moments_[it - preds.data];
+  return (pos == 0 ? m.s_squares : m.o_squares) / static_cast<double>(it->count);
+}
+
 uint64_t CardinalityStats::CountPair(PairKind kind, DataId a, DataId b) const {
   const Array<PairCount>& arr = pair_[static_cast<int>(kind)];
   const PairCount* end = arr.data + arr.size;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "engine/dictionary.h"
@@ -68,7 +69,9 @@ static_assert(sizeof(PairCount) == 16, "snapshot section layout");
 enum class PairKind { kSp = 0, kPo = 1, kOs = 2 };
 
 /// Immutable aggregated triple counts over one base. Thread-safe for
-/// concurrent reads (it is never mutated after construction).
+/// concurrent reads: the counts are never mutated after construction,
+/// and the one derived cache (the degree moments behind
+/// `SizeBiasedDegree`) is filled once under `std::call_once`.
 class CardinalityStats {
  public:
   /// Builds the six aggregates in one linear pass per permutation run.
@@ -101,6 +104,15 @@ class CardinalityStats {
   /// Number of distinct values occurring at position `pos`.
   uint64_t Distinct(int pos) const { return single_[pos].size; }
 
+  /// The size-biased degree of column `pos` (0 = S, 2 = O) of predicate
+  /// `p`: sum(d^2) / sum(d), where d is the number of `p` triples
+  /// sharing one value at `pos`. It is the expected degree of a value
+  /// reached through a random `p` triple, so a popular value weighs in
+  /// as often as it is reached. 0 when `p` does not occur. The moments
+  /// of every predicate are derived from the SP/PO pair aggregates on
+  /// the first call (once per stats object; never on the write path).
+  double SizeBiasedDegree(int pos, DataId p) const;
+
   /// Raw section images, index 0..2 = S/P/O (for persistence).
   const ValueCount* single_data(int pos) const { return single_[pos].data; }
   std::size_t single_size(int pos) const { return single_[pos].size; }
@@ -130,12 +142,22 @@ class CardinalityStats {
     }
   };
 
+  /// sum(d^2) of the S and the O column of one predicate.
+  struct DegreeMoments {
+    double s_squares = 0;
+    double o_squares = 0;
+  };
+
   CardinalityStats() = default;
+  void ComputeMoments() const;
 
   Array<ValueCount> single_[3];  // S, P, O.
   Array<PairCount> pair_[3];     // SP, PO, OS.
   uint64_t total_ = 0;
   std::shared_ptr<const void> keepalive_;
+  // Parallel to single_[1] (the P values); filled once, on first use.
+  mutable std::once_flag moments_once_;
+  mutable std::vector<DegreeMoments> moments_;
 };
 
 }  // namespace wdsparql

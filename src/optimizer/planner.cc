@@ -80,8 +80,11 @@ struct Model {
   /// Expected triples matching `c` for one random binding of the
   /// variables in `mask` (independence assumption: each var-bound
   /// position divides the base cardinality by the position's distinct
-  /// count, capped so a division never inflates the estimate).
+  /// count, capped so a division never inflates the estimate) — except
+  /// on a same-column self-join, see `SelfJoinDegree`.
   double EstMatches(const Conjunct& c, uint32_t mask) const {
+    double self_join = SelfJoinDegree(c, mask);
+    if (self_join > 0) return self_join;
     double m = c.base;
     for (int pos = 0; pos < 3; ++pos) {
       int v = c.var[pos];
@@ -91,6 +94,33 @@ struct Model {
       }
     }
     return m;
+  }
+
+  /// The matches of `c` = (v p ?u) or (?u p v), with predicate `p`
+  /// constant, `v` bound and `?u` unbound, when another conjunct with
+  /// predicate `p` holds `v` in the same column and is fully bound under
+  /// `mask`. Then `v`'s values were reached through `p` triples on that
+  /// column, so a popular value is bound as often as it has edges there,
+  /// and its expected degree is that column's size-biased degree, not
+  /// the average the independence rule assumes. 0 when the rule does not
+  /// apply.
+  double SelfJoinDegree(const Conjunct& c, uint32_t mask) const {
+    if (c.var[1] >= 0) return 0;
+    for (int pos : {0, 2}) {
+      const int v = c.var[pos];
+      const int u = c.var[2 - pos];
+      if (v < 0 || ((mask >> v) & 1u) == 0) continue;
+      if (u < 0 || ((mask >> u) & 1u) != 0) continue;
+      for (const Conjunct& other : conjuncts) {
+        // With `v` in `mask`, closing on `v` means fully bound.
+        if (&other == &c || other.var[1] >= 0 || other.constant[1] != c.constant[1] ||
+            other.var[pos] != v || !Closes(other, v, mask)) {
+          continue;
+        }
+        return stats->SizeBiasedDegree(pos, c.constant[1]);
+      }
+    }
+    return 0;
   }
 
   /// Expected candidate values for variable `v` with `mask` bound: the
@@ -112,27 +142,24 @@ struct Model {
   }
 
   /// Join work at the level binding `v` (per partial binding above it),
-  /// as `JoinCursor` does it: each conjunct closing at the level (every
-  /// other variable in `mask`) walks its estimated range, and each open
-  /// conjunct costs one existence probe per candidate value. When
-  /// nothing closes, every conjunct containing `v` walks its range.
+  /// as `JoinCursor` does it: when some conjunct closes at the level
+  /// (every other variable in `mask`), the cheapest closing range is
+  /// walked and each of its values costs one existence probe per other
+  /// conjunct containing `v`, closing or open. When nothing closes,
+  /// every conjunct containing `v` walks its range.
   double LevelWork(int v, uint32_t mask) const {
-    double closing = 0;
     double all = 0;
-    bool any_closing = false;
-    int num_open = 0;
+    double driver = kInf;
+    int num_containing = 0;
     for (const Conjunct& c : conjuncts) {
       if (!Contains(c, v)) continue;
-      double walk = EstMatches(c, mask) + kScanOverhead;
-      all += walk;
-      if (Closes(c, v, mask)) {
-        closing += walk;
-        any_closing = true;
-      } else {
-        ++num_open;
-      }
+      ++num_containing;
+      double matches = EstMatches(c, mask);
+      all += matches + kScanOverhead;
+      if (Closes(c, v, mask)) driver = std::min(driver, matches);
     }
-    return any_closing ? closing + num_open * Selectivity(v, mask) : all;
+    if (driver == kInf) return all;
+    return driver + kScanOverhead + (num_containing - 1) * driver;
   }
 
   /// Estimated bindings of the variable set `mask`, computed canonically
@@ -293,9 +320,9 @@ std::optional<SubtreePlan> PlanSubtree(const ReadView& view,
     }
   }
 
-  // Report, per conjunct, the permutation of the range it walks at its
-  // closing level (the level binding its last variable): every position
-  // but those of that variable is bound there.
+  // Report, per conjunct, the permutation of its range at its closing
+  // level (the level binding its last variable): every position but
+  // those of that variable is bound there.
   plan.scan_perms.assign(model.conjuncts.size(), Permutation::kSpo);
   uint32_t bound = 0;
   for (int v : order) {

@@ -26,11 +26,12 @@
 /// Costing follows RDF-3X: exact cardinalities for the conjunct's
 /// constant bindings from `CardinalityStats`, the independence
 /// assumption for positions bound by earlier variables (divide by the
-/// position's distinct-value count), and a bottom-up dynamic program
-/// over variable subsets (Held-Karp style, exact up to `kDpMaxVars`
-/// variables, greedy beyond) minimising the estimated work of the join
-/// as `JoinCursor` runs it: range walks for the conjuncts closing at a
-/// level, existence probes for the open ones.
+/// position's distinct-value count; a same-column self-join takes the
+/// column's size-biased degree instead), and a bottom-up dynamic
+/// program over variable subsets (Held-Karp style, exact up to
+/// `kDpMaxVars` variables, greedy beyond) minimising the estimated work
+/// of the join as `JoinCursor` runs it: one walk of the cheapest range
+/// closing at a level, and existence probes for the other conjuncts.
 ///
 /// Determinism matters beyond reproducibility: parallel workers each
 /// plan their own cursor over the same pinned view and partition work
@@ -52,9 +53,10 @@ struct SubtreePlan {
   /// what `JoinCursor` consumes.
   std::vector<TermId> var_order;
   /// Per non-ground conjunct, in pattern order: the permutation index
-  /// of the range it walks at its closing level under `var_order` (the
-  /// level binding its last variable; reporting only, the store
-  /// re-derives this from bound positions at scan time).
+  /// of its range at its closing level under `var_order` (the level
+  /// binding its last variable), walked when the conjunct drives that
+  /// level (reporting only, the store re-derives this from bound
+  /// positions at scan time).
   std::vector<Permutation> scan_perms;
   /// Estimated solutions of the subtree (independence assumption).
   double est_rows = 0;

@@ -4,11 +4,13 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/api_internal.h"
 #include "engine/indexed_store.h"
 #include "engine/join.h"
+#include "optimizer/cardinality.h"
 #include "optimizer/planner.h"
 #include "storage/snapshot.h"
 #include "support/testlib.h"
@@ -366,6 +368,44 @@ TEST(OptimizerPlanChoiceTest, EstimatesAreExactWithoutPendingDelta) {
   EXPECT_EQ(sub.est_rows, 16.0);
 }
 
+// The degree moments are derived lazily from the SP/PO tables, once per
+// stats object; readers planning at once must all see the same values.
+TEST(OptimizerPlanChoiceTest, SizeBiasedDegreeIsSumOfSquaresOverSum) {
+  TermPool pool;
+  std::vector<Triple> triples;
+  auto add = [&](const std::string& s, const std::string& p, const std::string& o) {
+    triples.emplace_back(pool.InternIri(s), pool.InternIri(p), pool.InternIri(o));
+  };
+  // knows: out-degrees 3, 1 (S column); in-degrees 2, 1, 1 (O column).
+  add("a", "knows", "x");
+  add("a", "knows", "y");
+  add("a", "knows", "z");
+  add("b", "knows", "x");
+  add("a", "email", "e");
+  IndexedStore store = IndexedStore::Build(triples);
+  const CardinalityStats* stats = store.view().stats();
+  ASSERT_NE(stats, nullptr);
+  const DataId knows = store.view().dict().Encode(pool.InternIri("knows"));
+  const DataId email = store.view().dict().Encode(pool.InternIri("email"));
+  const DataId absent = store.view().dict().Encode(pool.InternIri("x"));
+  double s_degree[4] = {};
+  double o_degree[4] = {};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 4; ++i) {
+    readers.emplace_back([&, i] {
+      s_degree[i] = stats->SizeBiasedDegree(0, knows);
+      o_degree[i] = stats->SizeBiasedDegree(2, knows);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(s_degree[i], (9.0 + 1.0) / 4.0);
+    EXPECT_DOUBLE_EQ(o_degree[i], (4.0 + 1.0 + 1.0) / 4.0);
+  }
+  EXPECT_DOUBLE_EQ(stats->SizeBiasedDegree(0, email), 1.0);
+  EXPECT_EQ(stats->SizeBiasedDegree(0, absent), 0.0);
+}
+
 // ---------------------------------------------------------------------
 // Scan volume: a join level reads only the ranges of the conjuncts that
 // close there, so the planned work of a query bound to a small city must
@@ -398,18 +438,55 @@ IndexedStore BuildHubGraph(TermPool* pool, int n) {
   return IndexedStore::Build(triples);
 }
 
+/// A directed knows-triangle t -> u -> w -> t whose member t is the
+/// popular target of `n` people, beside three residents of city c who
+/// know t too. Every person and triangle member also knows one private
+/// contact, so knows has exactly two edges per subject and the average
+/// out-degree (the independence estimate) never moves with `n`; every
+/// one of the `n` people also has an email and a phone, so there are
+/// more distinct objects than knows edges and the average in-degree
+/// reads 1. Only the in-degree of t grows with `n`.
+IndexedStore BuildPopularTargetGraph(TermPool* pool, int n) {
+  std::vector<Triple> triples;
+  auto add = [&](const std::string& s, const std::string& p, const std::string& o) {
+    triples.emplace_back(pool->InternIri(s), pool->InternIri(p), pool->InternIri(o));
+  };
+  for (int i = 0; i < 3; ++i) {
+    add("r" + std::to_string(i), "livesIn", "c");
+    add("r" + std::to_string(i), "knows", "t");
+    add("r" + std::to_string(i), "knows", "z" + std::to_string(i));
+  }
+  add("t", "knows", "u");
+  add("u", "knows", "w");
+  add("w", "knows", "t");
+  add("t", "knows", "z3");
+  add("u", "knows", "z4");
+  add("w", "knows", "z5");
+  for (int i = 0; i < n; ++i) {
+    const std::string person = "p" + std::to_string(i);
+    add(person, "knows", "t");
+    add(person, "knows", "q" + std::to_string(i));
+    add(person, "email", "m" + std::to_string(i));
+    add(person, "phone", "f" + std::to_string(i));
+  }
+  return IndexedStore::Build(triples);
+}
+
 struct PlannedRun {
   double est_cost = 0;
   uint64_t base_scanned = 0;
   uint64_t rows = 0;
+  std::vector<TermId> var_order;
 };
 
 using Conjuncts = std::vector<std::array<std::string, 3>>;
+using GraphBuilder = IndexedStore (*)(TermPool*, int);
 
-/// Plans `conjuncts` (a leading '?' marks a variable) over the hub graph
-/// of size `n` and runs the join in the planned order.
-PlannedRun RunPlanned(TermPool* pool, int n, const Conjuncts& conjuncts) {
-  IndexedStore store = BuildHubGraph(pool, n);
+/// Plans `conjuncts` (a leading '?' marks a variable) over the graph
+/// `build` makes for size `n` and runs the join in the planned order.
+PlannedRun RunPlanned(TermPool* pool, GraphBuilder build, int n,
+                      const Conjuncts& conjuncts) {
+  IndexedStore store = build(pool, n);
   std::vector<Triple> patterns;
   for (const auto& spelled : conjuncts) {
     TermId t[3];
@@ -424,6 +501,7 @@ PlannedRun RunPlanned(TermPool* pool, int n, const Conjuncts& conjuncts) {
   PlannedRun run;
   if (!plan.has_value()) return run;
   run.est_cost = plan->est_cost;
+  run.var_order = plan->var_order;
   JoinStats stats;
   JoinCursor cursor(store.view(), patterns, VarAssignment{}, &stats, &plan->var_order);
   VarAssignment out;
@@ -446,13 +524,42 @@ TEST(OptimizerScanVolumeTest, LocalQueriesDoNotScaleWithAnUnrelatedHub) {
   for (const Conjuncts& query : kQueries) {
     SCOPED_TRACE("conjuncts: " + std::to_string(query.size()));
     TermPool pool;
-    PlannedRun small = RunPlanned(&pool, kN, query);
-    PlannedRun large = RunPlanned(&pool, 4 * kN, query);
+    PlannedRun small = RunPlanned(&pool, BuildHubGraph, kN, query);
+    PlannedRun large = RunPlanned(&pool, BuildHubGraph, 4 * kN, query);
     EXPECT_GT(small.rows, 0u);
     EXPECT_EQ(small.rows, large.rows);
     EXPECT_EQ(small.base_scanned, large.base_scanned);
     EXPECT_EQ(small.est_cost, large.est_cost);
   }
+}
+
+// The target a resident knows is popular: every ?a bound through
+// (?x knows ?a) is t, with n + 4 in-edges against an average of one.
+// Binding ?c next would walk those in-edges once per candidate; binding
+// ?b first closes (?c knows ?a) beside (?b knows ?c), whose two-edge
+// range drives the level while t's in-edges are only probed.
+TEST(OptimizerScanVolumeTest, PopularTriangleTargetIsProbedNotWalked) {
+  const Conjuncts kTriangle = {{"?x", "livesIn", "c"},
+                               {"?x", "knows", "?a"},
+                               {"?a", "knows", "?b"},
+                               {"?b", "knows", "?c"},
+                               {"?c", "knows", "?a"}};
+  constexpr int kN = 256;
+  TermPool pool;
+  PlannedRun small = RunPlanned(&pool, BuildPopularTargetGraph, kN, kTriangle);
+  PlannedRun large = RunPlanned(&pool, BuildPopularTargetGraph, 4 * kN, kTriangle);
+  const TermId b = pool.InternVariable("b");
+  const TermId c = pool.InternVariable("c");
+  for (const PlannedRun* run : {&small, &large}) {
+    EXPECT_EQ(run->rows, 3u);
+    const std::vector<TermId>& order = run->var_order;
+    const auto b_at = std::find(order.begin(), order.end(), b) - order.begin();
+    const auto c_at = std::find(order.begin(), order.end(), c) - order.begin();
+    ASSERT_LT(c_at, static_cast<long>(order.size()));
+    EXPECT_LT(b_at, c_at) << "?b must be bound before ?c";
+  }
+  EXPECT_EQ(small.base_scanned, large.base_scanned);
+  EXPECT_EQ(small.est_cost, large.est_cost);
 }
 
 }  // namespace
