@@ -219,23 +219,14 @@ EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
                                   std::function<bool()> root_claim = nullptr,
                                   bool optimize = true);
 
-/// Naive-backend hooks over a materialised copy of a pinned state (see
-/// `MaterializeGraph`): candidate generation and maximality run against
-/// `graph` only, so the execution reads exactly the pinned state however
-/// the writer churns. The hooks share ownership of the copy, which dies
-/// with the enumerator. `pebble_promise > 0` switches the maximality
-/// certificate to the (k+1)-pebble game, mirroring SessionOptions.
-EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
-                                        int pebble_promise);
-
 /// wdEVAL membership on the session's backend (no filter application),
 /// decided against exactly the state `view` pinned, whatever the writer
-/// has committed since. The caller keeps the view pinned for the call.
-/// The indexed backend tests the view in place; the naive backend tests
-/// a private copy of it (see `MaterializeGraph`).
+/// has committed since: one `WdEvalWith` run with the backend's
+/// certificate. The indexed backend certifies on the view in place, the
+/// naive backend on a private copy of it (see `MaterializeGraph`).
 bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
                         const PatternForest& forest, const Mapping& mu,
-                        const ReadView& view, EvalStats* stats = nullptr);
+                        std::shared_ptr<const ReadView> view);
 
 }  // namespace engine_internal
 

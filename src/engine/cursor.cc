@@ -196,10 +196,9 @@ bool Cursor::Open() {
       // view is immutable, so the copy is consistent with zero writer
       // synchronisation, and once it is taken the pin is dropped — from
       // here on the cursor never touches database state at all.
-      hooks = engine_internal::MakeNaiveSnapshotHooks(
-          std::make_shared<const RdfGraph>(
-              engine_internal::MaterializeGraph(*impl_->view, stmt.db->pool)),
-          stmt.options.pebble_promise);
+      hooks = HashHooks(std::make_shared<const RdfGraph>(engine_internal::MaterializeGraph(
+                            *impl_->view, stmt.db->pool)),
+                        stmt.options.pebble_promise);
       impl_->view.reset();
     } else {
       hooks = engine_internal::MakeIndexedHooks(

@@ -6,9 +6,7 @@
 #include "engine/api_internal.h"
 #include "engine/join.h"
 #include "hom/homomorphism.h"
-#include "hom/pebble.h"
 #include "optimizer/planner.h"
-#include "ptree/tgraph.h"
 #include "rdf/ntriples.h"
 #include "util/timer.h"
 #include "wd/eval.h"
@@ -468,6 +466,16 @@ class JoinCursorGenerator final : public CandidateGenerator {
   JoinCursor cursor_;
 };
 
+/// The indexed backend's certificate: join existence of the child over
+/// `view` (shared), counted into `join_stats` if non-null.
+Certificate JoinCertificate(std::shared_ptr<const ReadView> view,
+                            JoinStats* join_stats = nullptr) {
+  return [view = std::move(view), join_stats](const TripleSet& child,
+                                              const VarAssignment& fixed) {
+    return JoinExists(*view, child.triples(), fixed, join_stats);
+  };
+}
+
 }  // namespace
 
 EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
@@ -495,52 +503,22 @@ EnumerationHooks MakeIndexedHooks(const DatabaseImpl& db,
                                                  pool, plans_metric,
                                                  plan_ns_metric);
   };
-  hooks.extends = [view, join_stats](const TripleSet& combined, const Mapping& mu) {
-    return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
-                      join_stats);
-  };
-  return hooks;
-}
-
-EnumerationHooks MakeNaiveSnapshotHooks(std::shared_ptr<const RdfGraph> graph,
-                                        int pebble_promise) {
-  // One scan adapter shared by every generator and certificate; the
-  // lambdas keep it and the graph it wraps alive for the hooks' lifetime.
-  auto scan = std::make_shared<const HashTripleSource>(graph->triples());
-  EnumerationHooks hooks;
-  hooks.open_candidates = [graph, scan](const TripleSet& pattern) {
-    return OpenHomCandidates(pattern, *scan);
-  };
-  if (pebble_promise > 0) {
-    int k = pebble_promise;
-    hooks.extends = [graph, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), graph->triples(),
-                            k + 1);
-    };
-  } else {
-    hooks.extends = [graph, scan](const TripleSet& combined, const Mapping& mu) {
-      return HasHomomorphism(combined, MappingToAssignment(mu), *scan);
-    };
-  }
+  hooks.extends = JoinCertificate(std::move(view), join_stats);
   return hooks;
 }
 
 bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
                         const PatternForest& forest, const Mapping& mu,
-                        const ReadView& view, EvalStats* stats) {
-  if (options.backend == Backend::kIndexed) {
-    VarAssignment fixed = MappingToAssignment(mu);
-    return WdEvalWith(forest, view, mu, stats, [&](const TripleSet& combined) {
-      return JoinExists(view, combined.triples(), fixed);
-    });
-  }
-  // The naive oracle tests against a private copy of the view, as every
+                        std::shared_ptr<const ReadView> view) {
+  // Matching T^mu probes ground triples, the same on either backend; the
+  // naive oracle certifies against a private copy of the view, as every
   // naive execution does (see Cursor::Open).
-  RdfGraph graph = MaterializeGraph(view, db.pool);
-  if (options.pebble_promise > 0) {
-    return PebbleWdEval(forest, graph, mu, options.pebble_promise, stats);
+  Certificate extends = JoinCertificate(view);
+  if (options.backend == Backend::kNaiveHash) {
+    auto copy = std::make_shared<const RdfGraph>(MaterializeGraph(*view, db.pool));
+    extends = HashHooks(std::move(copy), options.pebble_promise).extends;
   }
-  return NaiveWdEval(forest, graph, mu, stats);
+  return WdEvalWith(forest, *view, mu, /*stats=*/nullptr, extends);
 }
 
 }  // namespace engine_internal

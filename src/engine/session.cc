@@ -339,7 +339,7 @@ bool Statement::Contains(const Mapping& mu) const {
   // certificates all read the same consistent state.
   std::shared_ptr<const ReadView> view = impl_->db->store.PinView();
   return engine_internal::EvaluateMembership(*impl_->db, impl_->options,
-                                             impl_->forest, mu, *view);
+                                             impl_->forest, mu, std::move(view));
 }
 
 bool Statement::Contains(const Mapping& mu, const Snapshot& snapshot) const {
@@ -351,7 +351,7 @@ bool Statement::Contains(const Mapping& mu, const Snapshot& snapshot) const {
     if (!filter.Satisfied(mu)) return false;
   }
   return engine_internal::EvaluateMembership(*impl_->db, impl_->options,
-                                             impl_->forest, mu, *snapshot.view_);
+                                             impl_->forest, mu, snapshot.view_);
 }
 
 }  // namespace wdsparql

@@ -72,8 +72,8 @@ struct HomSearch {
       if (!has_free && !target.Contains(ApplyAssignment(fixed, t))) return false;
     }
     if (free_vars.empty()) return true;
-    if (!InitializeDomains()) return false;
     assigned.assign(free_vars.size(), false);
+    if (!InitializeDomains()) return false;
     if (options.propagation == PropagationLevel::kFull) {
       // Root-level arc consistency.
       std::deque<std::size_t> queue;
@@ -96,22 +96,43 @@ struct HomSearch {
     return std::nullopt;
   }
 
-  /// Seeds per-variable domains from the target's term population and the
-  /// banned-image set. Domains stay sorted throughout the search (the
-  /// support check binary-searches them); the `TripleSource` contract
-  /// guarantees `AllTerms` is already ascending.
+  /// Seeds each free variable's domain from one scan of the most bound
+  /// source triple containing it, which every solution's image of the
+  /// variable must match: one target range, not the target's whole term
+  /// population. Domains stay sorted (the support check binary-searches).
   bool InitializeDomains() {
-    std::vector<TermId> all_terms = target.AllTerms();
-    WDSPARQL_DCHECK(std::is_sorted(all_terms.begin(), all_terms.end()));
-    if (!options.banned_image.empty()) {
-      all_terms.erase(std::remove_if(all_terms.begin(), all_terms.end(),
-                                     [this](TermId t) {
-                                       return options.banned_image.count(t) > 0;
-                                     }),
-                      all_terms.end());
+    domains.resize(free_vars.size());
+    for (std::size_t v = 0; v < free_vars.size(); ++v) {
+      Triple probe;
+      int best = -1, at = 0;
+      for (std::size_t t_idx : triples_of_var[v]) {
+        Triple candidate;
+        int bound = 0, v_pos = 0;
+        for (int pos = 0; pos < 3; ++pos) {
+          std::optional<TermId> image = DeterminedImage(triples[t_idx][pos]);
+          candidate.Set(pos, image.value_or(kAnyTerm));
+          bound += image.has_value();
+          if (triples[t_idx][pos] == free_vars[v]) v_pos = pos;
+        }
+        if (bound <= best) continue;
+        probe = candidate;
+        best = bound;
+        at = v_pos;
+      }
+      std::vector<TermId>& domain = domains[v];
+      target.ScanPattern(probe, [&domain, at](const Triple& d) {
+        domain.push_back(d[at]);
+        return true;
+      });
+      std::sort(domain.begin(), domain.end());
+      domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
+      domain.erase(std::remove_if(domain.begin(), domain.end(),
+                                  [this](TermId t) {
+                                    return options.banned_image.count(t) > 0;
+                                  }),
+                   domain.end());
+      if (domain.empty()) return false;
     }
-    if (all_terms.empty()) return false;
-    domains.assign(free_vars.size(), all_terms);
     return true;
   }
 

@@ -4,9 +4,7 @@
 #include <unordered_set>
 
 #include "hom/homomorphism.h"
-#include "hom/pebble.h"
 #include "ptree/subtree.h"
-#include "ptree/tgraph.h"
 
 namespace wdsparql {
 namespace {
@@ -28,8 +26,8 @@ std::string RenderPattern(const TermPool& pool, const TripleSet& pattern) {
   return out;
 }
 
-/// `CandidateGenerator` over a resumable CSP search (see
-/// `OpenHomCandidates`).
+/// `CandidateGenerator` over a resumable CSP search: the homomorphisms
+/// of `pattern` into `target` (which must outlive it), one per `Next`.
 class HomCursorGenerator final : public CandidateGenerator {
  public:
   HomCursorGenerator(const TripleSet& pattern, const TripleSource& target)
@@ -41,12 +39,12 @@ class HomCursorGenerator final : public CandidateGenerator {
   HomCursor cursor_;
 };
 
-}  // namespace
-
-std::unique_ptr<CandidateGenerator> OpenHomCandidates(const TripleSet& pattern,
-                                                      const TripleSource& target) {
-  return std::make_unique<HomCursorGenerator>(pattern, target);
+/// A non-owning handle on `graph`, for hooks that die before it does.
+std::shared_ptr<const RdfGraph> Borrow(const RdfGraph& graph) {
+  return std::shared_ptr<const RdfGraph>(&graph, [](const RdfGraph*) {});
 }
+
+}  // namespace
 
 SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
                                        EnumerationHooks hooks)
@@ -180,11 +178,10 @@ bool SolutionEnumerator::Next(Mapping* out) {
       ++sink_->candidates;
       ++CurSubpattern()->candidates;
     }
-    Mapping candidate;
+    Mapping mu;
     for (const auto& [var, value] : assignment) {
-      WDSPARQL_CHECK(candidate.Bind(var, value));
+      WDSPARQL_CHECK(mu.Bind(var, value));
     }
-    const Mapping& mu = candidate;
     if (seen_.count(mu) > 0) {
       if (sink_ != nullptr) {
         ++sink_->dedup_rejected;
@@ -193,27 +190,17 @@ bool SolutionEnumerator::Next(Mapping* out) {
       continue;
     }
     // Maximality: no child may extend mu.
-    bool maximal = true;
-    for (NodeId child : children_) {
-      ++stats_.maximality_tests;
-      if (sink_ != nullptr) {
-        ++sink_->maximality_tests;
-        ++CurSubpattern()->maximality_tests;
-      }
-      TripleSet combined = pattern_;
-      combined.InsertAll(cur_tree_->pattern(child));
-      if (hooks_.extends(combined, mu)) {
-        maximal = false;
-        break;
-      }
+    uint64_t tests = 0;
+    const bool maximal =
+        !AnyChildExtends(*cur_tree_, children_, assignment, hooks_.extends, &tests);
+    stats_.maximality_tests += tests;
+    if (sink_ != nullptr) {
+      sink_->maximality_tests += tests;
+      sink_->non_maximal += !maximal;
+      CurSubpattern()->maximality_tests += tests;
+      CurSubpattern()->non_maximal += !maximal;
     }
-    if (!maximal) {
-      if (sink_ != nullptr) {
-        ++sink_->non_maximal;
-        ++CurSubpattern()->non_maximal;
-      }
-      continue;
-    }
+    if (!maximal) continue;
     seen_.insert(mu);
     ++stats_.emitted;
     if (sink_ != nullptr) ++CurSubpattern()->rows;
@@ -233,39 +220,33 @@ void EnumerateSolutionsWith(const PatternForest& forest, const EnumerationHooks&
   if (stats != nullptr) *stats = enumerator.stats();
 }
 
+EnumerationHooks HashHooks(std::shared_ptr<const RdfGraph> graph, int k) {
+  // The lambdas keep the graph and its one scan adapter alive.
+  auto scan = std::make_shared<const HashTripleSource>(graph->triples());
+  Certificate certificate =
+      k > 0 ? PebbleCertificate(graph->triples(), k) : HomCertificate(*scan);
+  EnumerationHooks hooks;
+  hooks.open_candidates = [graph, scan](const TripleSet& pattern) {
+    return std::make_unique<HomCursorGenerator>(pattern, *scan);
+  };
+  hooks.extends = [graph, scan, certificate = std::move(certificate)](
+                      const TripleSet& child, const VarAssignment& fixed) {
+    return certificate(child, fixed);
+  };
+  return hooks;
+}
+
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
                              const std::function<bool(const Mapping&)>& callback,
                              EnumerateStats* stats) {
-  HashTripleSource scan(graph.triples());
-  EnumerateSolutionsNaive(forest, scan, callback, stats);
-}
-
-void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& graph,
-                             const std::function<bool(const Mapping&)>& callback,
-                             EnumerateStats* stats) {
-  EnumerationHooks hooks;
-  hooks.open_candidates = [&graph](const TripleSet& pattern) {
-    return OpenHomCandidates(pattern, graph);
-  };
-  hooks.extends = [&graph](const TripleSet& combined, const Mapping& mu) {
-    return HasHomomorphism(combined, MappingToAssignment(mu), graph);
-  };
-  EnumerateSolutionsWith(forest, hooks, callback, stats);
+  EnumerateSolutionsWith(forest, HashHooks(Borrow(graph), 0), callback, stats);
 }
 
 void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph,
                               int k, const std::function<bool(const Mapping&)>& callback,
                               EnumerateStats* stats) {
   WDSPARQL_CHECK(k >= 1);
-  HashTripleSource scan(graph.triples());
-  EnumerationHooks hooks;
-  hooks.open_candidates = [&scan](const TripleSet& pattern) {
-    return OpenHomCandidates(pattern, scan);
-  };
-  hooks.extends = [&graph, k](const TripleSet& combined, const Mapping& mu) {
-    return PebbleGameWins(combined, MappingToAssignment(mu), graph.triples(), k + 1);
-  };
-  EnumerateSolutionsWith(forest, hooks, callback, stats);
+  EnumerateSolutionsWith(forest, HashHooks(Borrow(graph), k), callback, stats);
 }
 
 std::vector<Mapping> AllSolutionsPebble(const PatternForest& forest,

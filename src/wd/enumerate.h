@@ -23,8 +23,8 @@
 /// The paper's Section 5 lists enumeration as a natural variant of
 /// wdEVAL (cf. Kroll-Pichler-Skritek). This module materialises JFKG by
 /// enumerating, per tree, the homomorphisms of each subtree pattern and
-/// certifying maximality with the same machinery the membership
-/// algorithms use:
+/// certifying maximality with the same `Certificate`s and child loop
+/// (`AnyChildExtends`) as the membership algorithms:
 ///
 ///  * `EnumerateSolutionsNaive`  — exact homomorphism maximality tests
 ///    (always correct; this is the ptree/semantics.h oracle re-exposed
@@ -33,6 +33,11 @@
 ///    maximality tests: every emitted mapping is a genuine answer
 ///    (soundness is unconditional), and under the promise dw(F) <= k the
 ///    output is exactly JFKG.
+///
+/// A candidate mu is a homomorphism of pat(T'), so mu(pat(T')) ⊆ G holds
+/// and dom(mu) = vars(T'): a child n extends mu iff
+/// `(pat(n), vars(T')) ->mu G`, the paper's test minus its ground half.
+/// Certificates get the child's pattern alone (see wd/eval.h).
 ///
 /// Candidate generation is exponential in |P| (unavoidable: answers can
 /// be exponentially many); the promise only de-NP-hardens the per-
@@ -92,28 +97,23 @@ class CandidateGenerator {
   virtual const CandidatePlanInfo* plan_info() const { return nullptr; }
 };
 
-/// A `CandidateGenerator` over a resumable `HomCursor`: the
-/// homomorphisms of `pattern` into `target`, one CSP solution per
-/// `Next`. The naive and pebble enumerators (and the engine's naive
-/// backend) open their candidates through this. `target` must outlive
-/// the generator.
-std::unique_ptr<CandidateGenerator> OpenHomCandidates(const TripleSet& pattern,
-                                                      const TripleSource& target);
-
 /// The storage side of the enumeration skeleton: where candidates come
 /// from and how maximality is certified. Both hooks must be set.
 struct EnumerationHooks {
   /// Opens the pull-based candidate source of one subtree pattern: its
-  /// homomorphisms into the data, one per `Next`. The indexed backend
-  /// opens a resumable `JoinCursor` here, the naive oracles a
-  /// `HomCursor` (`OpenHomCandidates`), so the whole enumeration
-  /// suspends candidate by candidate on either backend.
+  /// homomorphisms into the data, one per `Next` — a resumable
+  /// `JoinCursor` on the indexed backend, a `HomCursor` in `HashHooks`.
   std::function<std::unique_ptr<CandidateGenerator>(const TripleSet& pattern)>
       open_candidates;
-  /// Maximality certificate: true iff some homomorphism of `combined`
-  /// (the subtree pattern plus one child pattern) extends `mu`.
-  std::function<bool(const TripleSet& combined, const Mapping& mu)> extends;
+  /// Maximality certificate, run once per child of the open subtree
+  /// with that child's pattern and the candidate's assignment.
+  Certificate extends;
 };
+
+/// The hash backend's hooks over `graph`: resumable `HomCursor`
+/// candidates, and exact homomorphism certificates, or (k+1)-pebble ones
+/// when `k > 0`. The hooks share ownership of `graph`.
+EnumerationHooks HashHooks(std::shared_ptr<const RdfGraph> graph, int k);
 
 /// The enumeration skeleton every variant instantiates: per tree, per
 /// subtree, stream candidates, deduplicate across trees/subtrees,
@@ -264,13 +264,6 @@ class SolutionEnumerator {
 /// The callback may return false to stop. Duplicates across trees and
 /// subtrees are suppressed.
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
-                             const std::function<bool(const Mapping&)>& callback,
-                             EnumerateStats* stats = nullptr);
-
-/// Backend-generic variant: candidate generation and maximality tests
-/// run against the `TripleSource` scan interface (hash backend or the
-/// engine's dictionary-encoded permutation store).
-void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& graph,
                              const std::function<bool(const Mapping&)>& callback,
                              EnumerateStats* stats = nullptr);
 

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
+#include "hom/homomorphism.h"
 #include "ptree/forest.h"
 #include "ptree/subtree.h"
 #include "rdf/graph.h"
@@ -24,14 +26,21 @@
 ///   exponential (co-NP-hardness lives there).
 ///
 /// * `PebbleWdEval` — the Theorem 1 algorithm: identical control flow,
-///   but each homomorphism test `(pat(T^mu) u pat(n), vars(T^mu)) ->mu G`
-///   is replaced by the polynomial existential (k+1)-pebble relaxation
-///   `->mu_{k+1}`. Always sound: acceptance is certified, because the
-///   relaxation only over-approximates the child extensions (a truly
-///   extendable child also passes the pebble test, so a tree that
-///   accepts has no extendable child). Complete whenever
+///   but each homomorphism test is replaced by the polynomial existential
+///   (k+1)-pebble relaxation `->mu_{k+1}`. Always sound: acceptance is
+///   certified, because the relaxation only over-approximates the child
+///   extensions (a truly extendable child also passes the pebble test, so
+///   a tree that accepts has no extendable child). Complete whenever
 ///   dw(wdpf(P)) <= k, hence correct and polynomial-time on every class
 ///   of domination width <= k (Theorem 1).
+///
+/// Child-only certificates. The paper tests a child n of T^mu by
+/// `(pat(T^mu) ∪ pat(n), vars(T^mu)) ->mu G` (or `->mu_{k+1}`). As
+/// dom(mu) = vars(T^mu) and mu(pat(T^mu)) ⊆ G, the subtree half is ground
+/// under mu and already holds, so the test is exactly
+/// `(pat(n), vars(T^mu)) ->mu G` (Lemma 1, as ptree/semantics.h states
+/// it). The pebble game checks ground triples outright, so its Spoiler's
+/// pebbles are unchanged too. A `Certificate` receives pat(n) alone.
 ///
 /// `k` is a *promise* parameter: the evaluator never computes dw(P)
 /// (recognition is NP-hard); callers either know the class bound or use
@@ -47,6 +56,26 @@ struct EvalStats {
   uint64_t pebble_maps_created = 0; ///< Pebble-game partial maps built.
 };
 
+/// A maximality certificate: true iff some homomorphism of `child` (the
+/// pattern of one child of T^mu) into the data extends `fixed` (mu).
+using Certificate =
+    std::function<bool(const TripleSet& child, const VarAssignment& fixed)>;
+
+/// Exact homomorphism certificate over `graph` (must outlive it).
+Certificate HomCertificate(const TripleSource& graph);
+
+/// (k+1)-pebble certificate over `graph` (must outlive it); adds the
+/// partial maps it builds to `stats->pebble_maps_created` if non-null.
+Certificate PebbleCertificate(const TripleSet& graph, int k,
+                              EvalStats* stats = nullptr);
+
+/// The maximality loop of membership and enumeration: true iff `extends`
+/// certifies some child of `children` (nodes of `tree`). Stops at the
+/// first; adds the certificates run to `*tests` if non-null.
+bool AnyChildExtends(const PatternTree& tree, const std::vector<NodeId>& children,
+                     const VarAssignment& fixed, const Certificate& extends,
+                     uint64_t* tests);
+
 /// The natural (exact-homomorphism) evaluation algorithm. Decides
 /// mu ∈ JFKG for any well-designed forest.
 bool NaiveWdEval(const PatternForest& forest, const RdfGraph& graph, const Mapping& mu,
@@ -61,13 +90,11 @@ bool NaiveWdEval(const PatternForest& forest, const TripleSource& graph,
 
 /// The shared wdEVAL skeleton every variant instantiates: per tree,
 /// find the matched subtree T^mu against `graph`, and accept iff some
-/// tree has no child for which `extends` certifies an extension of mu.
-/// `extends` receives pat(T^mu) ∪ pat(child); plugging in exact
-/// homomorphism, pebble-game or merge-join existence tests yields the
+/// tree has no child that `extends` certifies. Plugging in exact
+/// homomorphism, pebble-game or join existence certificates yields the
 /// naive, Theorem 1 and engine evaluators respectively.
 bool WdEvalWith(const PatternForest& forest, const TripleSource& graph,
-                const Mapping& mu, EvalStats* stats,
-                const std::function<bool(const TripleSet&)>& extends);
+                const Mapping& mu, EvalStats* stats, const Certificate& extends);
 
 /// The Theorem 1 algorithm with domination-width promise `k` (uses the
 /// existential (k+1)-pebble game).

@@ -131,6 +131,20 @@ TEST_P(RandomWorkloadProperty, EngineBackendsAgreeOnVerdictsAndSolutions) {
     EXPECT_EQ(naive_q.Contains(probe), IsAnswer(probe)) << probe.ToString(pool_);
     EXPECT_EQ(indexed_q.Contains(probe), IsAnswer(probe)) << probe.ToString(pool_);
   }
+
+  // The naive backend under the domination-width promise: pebble-game
+  // certificates for enumeration and membership alike.
+  Result<int> dw = DominationWidth(forest_, &pool_);
+  if (!dw.ok() || dw.value() > 3) return;  // Outside budgeted promise.
+  SessionOptions pebble_options;
+  pebble_options.backend = Backend::kNaiveHash;
+  pebble_options.pebble_promise = dw.value();
+  Statement pebble_q = db.OpenSession(pebble_options).PrepareParsed(pattern_);
+  ASSERT_TRUE(pebble_q.ok());
+  EXPECT_EQ(pebble_q.Solutions(), answers_);
+  for (const Mapping& probe : probes_) {
+    EXPECT_EQ(pebble_q.Contains(probe), IsAnswer(probe)) << probe.ToString(pool_);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomWorkloadProperty,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -195,6 +196,42 @@ TEST(ExecStatsTest, BackendsAgreeOnEnumerationTotals) {
   EXPECT_EQ(collected[0].non_maximal, collected[1].non_maximal);
   EXPECT_EQ(collected[0].maximality_tests, collected[1].maximality_tests);
   EXPECT_EQ(collected[0].subpatterns.size(), collected[1].subpatterns.size());
+}
+
+TEST(ExecStatsTest, CertificatesEncodeOnlyTheChildPattern) {
+  // The bundled examples/data/mini.nt graph. Each maximality certificate
+  // joins the child pattern alone: (bob email ?e) encodes two terms, not
+  // the subtree's ground (alice knows bob) as well.
+  Database db;
+  for (const auto& [s, p, o] : std::vector<std::array<const char*, 3>>{
+           {"alice", "knows", "bob"},
+           {"alice", "knows", "carol"},
+           {"bob", "knows", "carol"},
+           {"carol", "knows", "dave"},
+           {"dave", "knows", "alice"},
+           {"bob", "email", "mailto:bob@example.org"},
+           {"carol", "email", "mailto:carol@example.org"},
+           {"carol", "phone", "tel:555-0100"},
+           {"dave", "worksAt", "acme"},
+           {"alice", "worksAt", "initech"},
+           {"bob", "worksAt", "acme"}}) {
+    db.AddTriple(s, p, o);
+  }
+  SessionOptions options;
+  options.backend = Backend::kIndexed;
+  Statement stmt =
+      db.OpenSession(options).Prepare("(?x knows ?y) OPT (?y email ?e)");
+  ASSERT_TRUE(stmt.ok());
+  Cursor cursor = stmt.Execute(Collecting());
+  while (cursor.Next()) {
+  }
+  const ExecStats* stats = cursor.stats();
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->rows_emitted, 5u);
+  EXPECT_EQ(stats->candidates, 8u);
+  EXPECT_EQ(stats->maximality_tests, 5u);
+  EXPECT_EQ(stats->non_maximal, 3u);
+  EXPECT_EQ(stats->dict_encodes, 13u);
 }
 
 TEST(ExecStatsTest, FiltersAndProjectionCounted) {
